@@ -107,27 +107,31 @@ impl CoalescingObserver {
     }
 }
 
-/// Sorts (in place) and counts the distinct values in a short scratch
-/// slice. Warp accesses have at most 32 lanes, so this runs entirely on
-/// the caller's stack buffer — the hot path allocates nothing.
-fn sorted_distinct(scratch: &mut [u32]) -> usize {
-    scratch.sort_unstable();
-    let mut distinct = 0usize;
-    let mut prev = u32::MAX;
-    for &v in scratch.iter() {
-        distinct += usize::from(v != prev || distinct == 0);
-        prev = v;
+/// The distinct 128-byte lines (segments) among up to [`WARP_SIZE`]
+/// addresses, ascending, as `(lines, n)` with `lines[..n]` valid.
+/// Warp accesses have at most 32 lanes, so this runs entirely on a
+/// stack buffer — the per-access hot path allocates nothing.
+pub fn warp_lines(addrs: impl IntoIterator<Item = u32>) -> ([u32; WARP_SIZE], usize) {
+    let mut lines = [0u32; WARP_SIZE];
+    let mut n = 0usize;
+    for (slot, a) in lines.iter_mut().zip(addrs) {
+        *slot = a / SEGMENT_BYTES;
+        n += 1;
     }
-    distinct
+    lines[..n].sort_unstable();
+    let mut distinct = 0usize;
+    for i in 0..n {
+        if distinct == 0 || lines[i] != lines[distinct - 1] {
+            lines[distinct] = lines[i];
+            distinct += 1;
+        }
+    }
+    (lines, distinct)
 }
 
 /// Number of distinct 128B segments among `addrs`.
 pub fn segment_count(addrs: &[u32]) -> usize {
-    let mut segs = [0u32; WARP_SIZE];
-    for (s, &a) in segs.iter_mut().zip(addrs) {
-        *s = a / SEGMENT_BYTES;
-    }
-    sorted_distinct(&mut segs[..addrs.len().min(WARP_SIZE)])
+    warp_lines(addrs.iter().copied()).1
 }
 
 /// Serialized cycles for a shared access on a 32-bank, 4-byte-word

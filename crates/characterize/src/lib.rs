@@ -56,6 +56,7 @@ pub mod mix;
 pub mod pair;
 pub mod profile;
 pub mod profiler;
+mod reuse;
 pub mod runtime;
 pub mod schema;
 pub mod serialize;
@@ -63,7 +64,7 @@ pub mod sketch;
 
 pub use cache::{MatrixBlock, MatrixCache, ProfileCache};
 pub use merge::MergeableObserver;
-pub use pair::{InterferenceStack, PairMemberProfile, PairObserver, PairProfile};
+pub use pair::{PairMemberProfile, PairObserver, PairProfile};
 pub use profile::{KernelProfile, RawCounts};
 pub use profiler::{characterize_launch, Profiler};
 pub use runtime::{characterize_launch_sharded, profile_launch_sharded};

@@ -1,104 +1,73 @@
 //! Temporal locality (LRU stack distances) and data sharing of global
-//! memory, at 128-byte line granularity.
-//!
-//! Reuse distance — the number of *distinct* lines touched between two
-//! accesses to the same line — is the canonical microarchitecture-
-//! independent locality metric: a fully associative LRU cache of `N` lines
-//! hits exactly the accesses with distance `< N`. We compute it exactly
-//! with the classic last-access-time + Fenwick-tree algorithm, compressing
-//! the time axis when it fills.
+//! memory, at 128-byte line granularity: the exact tier, one
+//! unwindowed `ReuseStack` entry per distinct line touched.
 
 use gwc_simt::instr::Space;
 use gwc_simt::trace::{MemEvent, TraceObserver};
 
-use crate::coalescing::SEGMENT_BYTES;
-use crate::fxhash::FxHashMap;
+use crate::coalescing::warp_lines;
+pub use crate::reuse::REUSE_THRESHOLDS;
+use crate::reuse::{Payload, ReuseCounts, ReuseStack, INITIAL_CAP};
 
-/// Reuse-distance histogram thresholds, in 128-byte lines.
-pub const REUSE_THRESHOLDS: [u64; 3] = [16, 256, 4096];
-
-/// Binary indexed tree over time slots. Shared with the bounded-window
-/// sketch tier (see [`crate::sketch`]), which runs the same
-/// last-access-time algorithm over a capped recency window.
-#[derive(Debug, Clone)]
-pub(crate) struct Fenwick {
-    tree: Vec<u32>,
-}
-
-impl Fenwick {
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    /// Backing-array length in slots, for memory accounting.
-    pub(crate) fn slots(&self) -> usize {
-        self.tree.len()
-    }
-
-    pub(crate) fn add(&mut self, mut i: usize, delta: i32) {
-        i += 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of `[0, i]`.
-    pub(crate) fn prefix(&self, mut i: usize) -> u64 {
-        i += 1;
-        let mut s = 0u64;
-        while i > 0 {
-            s += self.tree[i] as u64;
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
-    /// Sum of `[lo, hi]` (inclusive); 0 when the range is empty.
-    pub(crate) fn range(&self, lo: usize, hi: usize) -> u64 {
-        if lo > hi {
-            return 0;
-        }
-        let head = if lo == 0 { 0 } else { self.prefix(lo - 1) };
-        self.prefix(hi) - head
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LineInfo {
-    last_time: usize,
+/// Which warps touched a line: its first toucher, and whether a second
+/// distinct warp / block ever did. Flags mean "≥ 2 distinct warps /
+/// blocks ever touched the line", so they survive merging shards that
+/// anchor the same line at different first warps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Sharing {
     first_warp: (u32, u32),
-    multi_warp: bool,
-    multi_block: bool,
+    pub(crate) multi_warp: bool,
+    pub(crate) multi_block: bool,
+}
+
+impl Payload for Sharing {
+    /// `(block, warp)` of the touching warp.
+    type Tag = (u32, u32);
+
+    fn first(warp: (u32, u32)) -> Self {
+        Self {
+            first_warp: warp,
+            multi_warp: false,
+            multi_block: false,
+        }
+    }
+
+    fn retouch(&mut self, warp: (u32, u32)) {
+        if self.first_warp != warp {
+            self.multi_warp = true;
+            if self.first_warp.0 != warp.0 {
+                self.multi_block = true;
+            }
+        }
+    }
+
+    fn absorb(&mut self, later: Self) {
+        self.multi_warp =
+            self.multi_warp || later.multi_warp || self.first_warp != later.first_warp;
+        self.multi_block =
+            self.multi_block || later.multi_block || self.first_warp.0 != later.first_warp.0;
+    }
+}
+
+/// Fraction of `lines` for which `pred` holds; 0 when there are none.
+pub(crate) fn sharing_frac<'a>(
+    lines: impl ExactSizeIterator<Item = &'a Sharing>,
+    pred: impl Fn(&Sharing) -> bool,
+) -> f64 {
+    let n = lines.len();
+    if n == 0 {
+        return 0.0;
+    }
+    lines.filter(|l| pred(l)).count() as f64 / n as f64
 }
 
 /// Streams global accesses into reuse-distance and sharing statistics.
 #[derive(Debug)]
 pub struct LocalityObserver {
-    lines: FxHashMap<u32, LineInfo>,
-    fenwick: Fenwick,
-    now: usize,
-    cap: usize,
-    /// Reuses bucketed by [`REUSE_THRESHOLDS`], with a final overflow
-    /// bucket.
-    hist: [u64; 4],
-    cold: u64,
-    touches: u64,
-    /// Distinct lines in first-touch order. One entry per cold touch;
-    /// this is what lets a later shard's stack merge exactly into an
-    /// earlier one (see the `MergeableObserver` impl).
-    first_touch_order: Vec<u32>,
+    stack: ReuseStack<Sharing>,
+    /// `absent` counts cold touches.
+    pub(crate) counts: ReuseCounts,
 }
-
-/// Initial time-axis capacity. Deliberately small: the runtime creates
-/// one observer per shard per launch, and a large up-front Fenwick
-/// allocation (formerly 8 MB zeroed) dominated sharded study time via
-/// page faults. The axis grows geometrically with the footprint, so
-/// large workloads still get a long axis — they just pay for it only
-/// when they actually touch that many lines.
-const INITIAL_CAP: usize = 1 << 12;
 
 impl Default for LocalityObserver {
     fn default() -> Self {
@@ -115,29 +84,19 @@ impl LocalityObserver {
     /// Creates an observer compressing its time axis every `cap` touches.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            lines: FxHashMap::default(),
-            fenwick: Fenwick::new(cap),
-            now: 0,
-            cap,
-            hist: [0; 4],
-            cold: 0,
-            touches: 0,
-            first_touch_order: Vec::new(),
+            stack: ReuseStack::new(cap, true),
+            counts: ReuseCounts::default(),
         }
     }
 
     /// Total line touches (one per distinct line per warp access).
     pub fn touches(&self) -> u64 {
-        self.touches
+        self.counts.touches
     }
 
     /// Fraction of touches that were first-touch (cold).
     pub fn cold_frac(&self) -> f64 {
-        if self.touches == 0 {
-            0.0
-        } else {
-            self.cold as f64 / self.touches as f64
-        }
+        self.counts.per_touch(self.counts.absent as f64)
     }
 
     /// Fraction of *reuses* with stack distance at most
@@ -147,227 +106,40 @@ impl LocalityObserver {
     ///
     /// Panics if `bucket >= 3`.
     pub fn reuse_cdf(&self, bucket: usize) -> f64 {
-        assert!(bucket < REUSE_THRESHOLDS.len());
-        let reuses: u64 = self.hist.iter().sum();
-        if reuses == 0 {
-            return 0.0;
-        }
-        let upto: u64 = self.hist.iter().take(bucket + 1).sum();
-        upto as f64 / reuses as f64
+        self.counts.reuse_cdf(bucket, 0.0)
     }
 
     /// Distinct 128-byte lines touched.
     pub fn footprint_lines(&self) -> u64 {
-        self.lines.len() as u64
+        self.stack.len() as u64
     }
 
     /// Fraction of lines touched by at least two distinct warps.
     pub fn inter_warp_sharing(&self) -> f64 {
-        self.sharing(|l| l.multi_warp)
+        sharing_frac(self.stack.payloads(), |l| l.multi_warp)
     }
 
     /// Fraction of lines touched by at least two distinct blocks.
     pub fn inter_block_sharing(&self) -> f64 {
-        self.sharing(|l| l.multi_block)
-    }
-
-    fn sharing(&self, pred: impl Fn(&LineInfo) -> bool) -> f64 {
-        if self.lines.is_empty() {
-            return 0.0;
-        }
-        let shared = self.lines.values().filter(|l| pred(l)).count();
-        shared as f64 / self.lines.len() as f64
+        sharing_frac(self.stack.payloads(), |l| l.multi_block)
     }
 
     /// Approximate heap bytes held by this observer's per-line state.
-    /// Capacity-based (not length-based): it is the allocation, not the
-    /// occupancy, that the `observer.bytes_peak` gauge must account for.
     pub fn bytes_in_use(&self) -> u64 {
-        let map_entry = std::mem::size_of::<(u32, LineInfo)>() + 1;
-        (self.lines.capacity() * map_entry
-            + self.fenwick.slots() * std::mem::size_of::<u32>()
-            + self.first_touch_order.capacity() * std::mem::size_of::<u32>()) as u64
+        self.stack.bytes_in_use()
     }
 
     pub(crate) fn touch(&mut self, line: u32, warp: (u32, u32)) {
-        self.touches += 1;
-        if self.now >= self.cap {
-            // Compression needs headroom over the live footprint; grow
-            // the axis instead when the footprint itself filled it.
-            // Either way the recency order — and with it every future
-            // distance — is preserved, so when growth (or compression)
-            // happens cannot affect results.
-            if self.lines.len() * 2 > self.cap {
-                self.cap = (self.lines.len() * 4).next_power_of_two();
-            }
-            self.compress();
-        }
-        match self.lines.get_mut(&line) {
-            Some(info) => {
-                let t = info.last_time;
-                // Lines whose most recent access is after t = LRU depth.
-                let distance = self.fenwick.range(t + 1, self.now.saturating_sub(1));
-                let bucket = REUSE_THRESHOLDS
-                    .iter()
-                    .position(|&th| distance <= th)
-                    .unwrap_or(REUSE_THRESHOLDS.len());
-                self.hist[bucket] += 1;
-                self.fenwick.add(t, -1);
-                self.fenwick.add(self.now, 1);
-                info.last_time = self.now;
-                if info.first_warp != warp {
-                    info.multi_warp = true;
-                    if info.first_warp.0 != warp.0 {
-                        info.multi_block = true;
-                    }
-                }
-            }
-            None => {
-                self.cold += 1;
-                self.first_touch_order.push(line);
-                self.fenwick.add(self.now, 1);
-                self.lines.insert(
-                    line,
-                    LineInfo {
-                        last_time: self.now,
-                        first_warp: warp,
-                        multi_warp: false,
-                        multi_block: false,
-                    },
-                );
-            }
-        }
-        self.now += 1;
-    }
-
-    /// Reassigns time slots densely, preserving order.
-    fn compress(&mut self) {
-        let mut order: Vec<(usize, u32)> = self
-            .lines
-            .iter()
-            .map(|(&line, info)| (info.last_time, line))
-            .collect();
-        order.sort_unstable();
-        self.fenwick = Fenwick::new(self.cap);
-        for (new_t, &(_, line)) in order.iter().enumerate() {
-            self.lines.get_mut(&line).expect("line exists").last_time = new_t;
-            self.fenwick.add(new_t, 1);
-        }
-        self.now = order.len();
-        assert!(
-            self.now < self.cap,
-            "footprint exceeds locality time-axis capacity"
-        );
+        self.counts.record(self.stack.touch(line, warp));
     }
 }
 
 impl crate::merge::MergeableObserver for LocalityObserver {
-    /// Exact stack merge of a later shard (`later`) into this one.
-    ///
-    /// Reuses *within* `later` already have the correct distance — every
-    /// intervening distinct line lies inside `later`'s own substream — so
-    /// its histogram adds directly. The only touches needing cross-shard
-    /// resolution are `later`'s first touches: a line `later` saw first
-    /// that `self` already holds is really a reuse crossing the shard
-    /// boundary, with distance
-    ///
-    /// ```text
-    ///   |{M in self : last(M) > last(L)}|      (self's Fenwick)
-    /// + (first touches before L in later)      (position in order)
-    /// - (lines counted by both terms)          (auxiliary Fenwick)
-    /// ```
-    ///
-    /// which is exactly the number of distinct lines touched between
-    /// `self`'s last access to `L` and `later`'s first — the same integer
-    /// the serial observer computes, so the bucketed histogram matches
-    /// bit for bit. Afterwards the merged time axis is rebuilt densely:
-    /// `self`-only lines in their old order, then every line `later`
-    /// touched in `later`'s recency order (a compression, which preserves
-    /// all future distances).
+    /// Exact stack merge of a later shard (see `ReuseStack::merge`):
+    /// the merged histogram matches serial observation bit for bit.
     fn merge(&mut self, later: Self) {
-        self.touches += later.touches;
-        for (a, b) in self.hist.iter_mut().zip(later.hist) {
-            *a += b;
-        }
-
-        // Resolve later's first touches against self's stack.
-        let mut aux = Fenwick::new(self.cap);
-        let self_top = self.now.saturating_sub(1);
-        for (pos, &line) in later.first_touch_order.iter().enumerate() {
-            match self.lines.get(&line) {
-                Some(info) => {
-                    let t = info.last_time;
-                    let in_self = self.fenwick.range(t + 1, self_top);
-                    let dup = aux.range(t + 1, self_top);
-                    let distance = in_self + pos as u64 - dup;
-                    let bucket = REUSE_THRESHOLDS
-                        .iter()
-                        .position(|&th| distance <= th)
-                        .unwrap_or(REUSE_THRESHOLDS.len());
-                    self.hist[bucket] += 1;
-                    aux.add(t, 1);
-                }
-                None => {
-                    self.cold += 1;
-                    self.first_touch_order.push(line);
-                }
-            }
-        }
-
-        // Rebuild the merged time axis. The recency order is computed
-        // first (it needs both maps intact), then `later`'s lines are
-        // absorbed into `self.lines` *in place*: re-allocating a merged
-        // map per shard merge showed up as the dominant allocation in
-        // sharded studies, and the order vector already carries every
-        // final timestamp, so the flag union is all the map itself needs.
-        let mut order: Vec<(u8, usize, u32)> =
-            Vec::with_capacity(self.lines.len() + later.lines.len());
-        for (&line, info) in &self.lines {
-            if !later.lines.contains_key(&line) {
-                order.push((0, info.last_time, line));
-            }
-        }
-        for (&line, info) in &later.lines {
-            order.push((1, info.last_time, line));
-        }
-        order.sort_unstable();
-
-        // The merged footprint can exceed either side's axis; grow
-        // before the rebuild exactly like `touch` does.
-        self.cap = self.cap.max(later.cap);
-        if order.len() * 2 > self.cap {
-            self.cap = (order.len() * 4).next_power_of_two();
-        }
-        self.lines.reserve(later.lines.len());
-        for (line, b) in later.lines {
-            match self.lines.entry(line) {
-                // Sharing flags mean "≥ 2 distinct warps/blocks ever
-                // touched the line", so they survive re-anchoring to
-                // self's first warp.
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let a = e.get_mut();
-                    a.multi_warp = a.multi_warp || b.multi_warp || a.first_warp != b.first_warp;
-                    a.multi_block =
-                        a.multi_block || b.multi_block || a.first_warp.0 != b.first_warp.0;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(b);
-                }
-            }
-        }
-        self.fenwick = Fenwick::new(self.cap);
-        for (new_t, &(_, _, line)) in order.iter().enumerate() {
-            self.lines
-                .get_mut(&line)
-                .expect("line in merged map")
-                .last_time = new_t;
-            self.fenwick.add(new_t, 1);
-        }
-        self.now = order.len();
-        assert!(
-            self.now < self.cap,
-            "footprint exceeds locality time-axis capacity"
-        );
+        let resolved = self.stack.merge(later.stack);
+        self.counts.merge(later.counts, resolved);
     }
 }
 
@@ -376,21 +148,9 @@ impl TraceObserver for LocalityObserver {
         if e.space != Space::Global {
             return;
         }
-        // Stack-buffered line extraction: at most 32 lanes, so the sort
-        // and dedup run on a fixed array with no per-event allocation.
-        let mut lines = [0u32; gwc_simt::WARP_SIZE];
-        let mut n = 0usize;
-        for a in e.active_addrs() {
-            lines[n] = a / SEGMENT_BYTES;
-            n += 1;
-        }
-        lines[..n].sort_unstable();
-        let mut prev = u32::MAX;
-        for (i, &line) in lines[..n].iter().enumerate() {
-            if i == 0 || line != prev {
-                self.touch(line, (e.block, e.warp));
-            }
-            prev = line;
+        let (lines, n) = warp_lines(e.active_addrs());
+        for &line in &lines[..n] {
+            self.touch(line, (e.block, e.warp));
         }
     }
 }
@@ -401,20 +161,6 @@ mod tests {
 
     fn touch(o: &mut LocalityObserver, line: u32) {
         o.touch(line, (0, 0));
-    }
-
-    #[test]
-    fn fenwick_basics() {
-        let mut f = Fenwick::new(16);
-        f.add(3, 1);
-        f.add(7, 1);
-        f.add(10, 1);
-        assert_eq!(f.prefix(15), 3);
-        assert_eq!(f.range(4, 9), 1);
-        assert_eq!(f.range(0, 3), 1);
-        f.add(7, -1);
-        assert_eq!(f.range(4, 9), 0);
-        assert_eq!(f.range(5, 4), 0);
     }
 
     #[test]
@@ -503,9 +249,7 @@ mod tests {
     }
 
     fn assert_same_state(a: &LocalityObserver, b: &LocalityObserver) {
-        assert_eq!(a.hist, b.hist, "reuse histograms differ");
-        assert_eq!(a.cold, b.cold);
-        assert_eq!(a.touches, b.touches);
+        assert_eq!(a.counts, b.counts, "reuse counts differ");
         assert_eq!(a.footprint_lines(), b.footprint_lines());
         assert_eq!(
             a.inter_warp_sharing().to_bits(),

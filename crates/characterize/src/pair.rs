@@ -13,9 +13,9 @@
 //! This module measures that effect exactly, with two timelines observed
 //! in one pass:
 //!
-//! * a **shared stack** ([`InterferenceStack`]) fed both members'
-//!   global accesses in dispatch order, accumulating reuse statistics
-//!   *per member* — the co-resident (contention-adjusted) locality;
+//! * a **shared stack** fed both members' global accesses in dispatch
+//!   order, accumulating reuse statistics *per member* — the co-resident
+//!   (contention-adjusted) locality;
 //! * one **solo stack** per member (a plain
 //!   [`crate::locality::LocalityObserver`]) fed only that member's
 //!   accesses — the isolated baseline, bit-identical to what a solo
@@ -23,10 +23,10 @@
 //!
 //! The interference delta of a member is `co − solo` per statistic: a
 //! pure partner effect, exact by construction because both timelines
-//! observe the same single execution. Both stacks run the same
-//! last-access-time + Fenwick algorithm at 128-byte granularity with the
-//! [`crate::locality::REUSE_THRESHOLDS`] buckets, so co and solo numbers
-//! are directly comparable.
+//! observe the same single execution. Both are the same
+//! `ReuseStack` at 128-byte granularity with the
+//! [`REUSE_THRESHOLDS`] buckets, so co and solo numbers are directly
+//! comparable.
 
 use gwc_simt::instr::Space;
 use gwc_simt::kernel::Kernel;
@@ -34,178 +34,9 @@ use gwc_simt::launch::LaunchConfig;
 use gwc_simt::sched::CoScheduleObserver;
 use gwc_simt::trace::{MemEvent, TraceObserver};
 
-use crate::coalescing::SEGMENT_BYTES;
-use crate::fxhash::FxHashMap;
-use crate::locality::{Fenwick, LocalityObserver, REUSE_THRESHOLDS};
-
-/// Per-line state of the shared stack: recency plus a member-ownership
-/// bitmask (bit `k` set iff member `k` touched the line).
-#[derive(Debug, Clone, Copy)]
-struct SharedLine {
-    last_time: usize,
-    owners: u8,
-}
-
-/// Initial time-axis capacity; grows geometrically like the solo
-/// observer's (see `locality::INITIAL_CAP` rationale).
-const INITIAL_CAP: usize = 1 << 12;
-
-/// A reuse-distance stack over the *merged* access stream of two
-/// co-scheduled kernels, attributing every touch to the member that
-/// issued it.
-///
-/// Same exact algorithm as [`LocalityObserver`] — last-access-time with
-/// a Fenwick tree over the time axis, geometric capacity growth,
-/// order-preserving compression — but the histogram, cold and touch
-/// counters are per member, and each line carries an owner bitmask for
-/// footprint-overlap accounting.
-#[derive(Debug)]
-pub struct InterferenceStack {
-    lines: FxHashMap<u32, SharedLine>,
-    fenwick: Fenwick,
-    now: usize,
-    cap: usize,
-    hist: [[u64; 4]; 2],
-    cold: [u64; 2],
-    touches: [u64; 2],
-}
-
-impl Default for InterferenceStack {
-    fn default() -> Self {
-        Self::with_capacity(INITIAL_CAP)
-    }
-}
-
-impl InterferenceStack {
-    /// Creates a stack with the default time-axis capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a stack compressing its time axis every `cap` touches.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            lines: FxHashMap::default(),
-            fenwick: Fenwick::new(cap),
-            now: 0,
-            cap,
-            hist: [[0; 4]; 2],
-            cold: [0; 2],
-            touches: [0; 2],
-        }
-    }
-
-    /// Records a touch of `line` by `member` on the shared timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `member >= 2`.
-    pub fn touch(&mut self, member: usize, line: u32) {
-        self.touches[member] += 1;
-        if self.now >= self.cap {
-            if self.lines.len() * 2 > self.cap {
-                self.cap = (self.lines.len() * 4).next_power_of_two();
-            }
-            self.compress();
-        }
-        match self.lines.get_mut(&line) {
-            Some(info) => {
-                let t = info.last_time;
-                let distance = self.fenwick.range(t + 1, self.now.saturating_sub(1));
-                let bucket = REUSE_THRESHOLDS
-                    .iter()
-                    .position(|&th| distance <= th)
-                    .unwrap_or(REUSE_THRESHOLDS.len());
-                self.hist[member][bucket] += 1;
-                self.fenwick.add(t, -1);
-                self.fenwick.add(self.now, 1);
-                info.last_time = self.now;
-                info.owners |= 1 << member;
-            }
-            None => {
-                self.cold[member] += 1;
-                self.fenwick.add(self.now, 1);
-                self.lines.insert(
-                    line,
-                    SharedLine {
-                        last_time: self.now,
-                        owners: 1 << member,
-                    },
-                );
-            }
-        }
-        self.now += 1;
-    }
-
-    /// Reassigns time slots densely, preserving recency order (and with
-    /// it every future distance).
-    fn compress(&mut self) {
-        let mut order: Vec<(usize, u32)> = self
-            .lines
-            .iter()
-            .map(|(&line, info)| (info.last_time, line))
-            .collect();
-        order.sort_unstable();
-        self.fenwick = Fenwick::new(self.cap);
-        for (new_t, &(_, line)) in order.iter().enumerate() {
-            self.lines.get_mut(&line).expect("line exists").last_time = new_t;
-            self.fenwick.add(new_t, 1);
-        }
-        self.now = order.len();
-        assert!(
-            self.now < self.cap,
-            "footprint exceeds interference time-axis capacity"
-        );
-    }
-
-    /// Member `m`'s line touches on the shared timeline.
-    pub fn touches(&self, m: usize) -> u64 {
-        self.touches[m]
-    }
-
-    /// Member `m`'s cold-touch fraction on the shared timeline.
-    pub fn cold_frac(&self, m: usize) -> f64 {
-        if self.touches[m] == 0 {
-            0.0
-        } else {
-            self.cold[m] as f64 / self.touches[m] as f64
-        }
-    }
-
-    /// Member `m`'s cumulative reuse CDF at
-    /// `REUSE_THRESHOLDS[bucket]` on the shared timeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket >= 3`.
-    pub fn reuse_cdf(&self, m: usize, bucket: usize) -> f64 {
-        assert!(bucket < REUSE_THRESHOLDS.len());
-        let reuses: u64 = self.hist[m].iter().sum();
-        if reuses == 0 {
-            return 0.0;
-        }
-        let upto: u64 = self.hist[m].iter().take(bucket + 1).sum();
-        upto as f64 / reuses as f64
-    }
-
-    /// Distinct lines on the shared timeline (the combined footprint).
-    pub fn footprint_lines(&self) -> u64 {
-        self.lines.len() as u64
-    }
-
-    /// Distinct lines touched by member `m`.
-    pub fn member_lines(&self, m: usize) -> u64 {
-        let bit = 1u8 << m;
-        self.lines.values().filter(|l| l.owners & bit != 0).count() as u64
-    }
-
-    /// Lines touched by *both* members. Registry pairs allocate disjoint
-    /// buffers, so this is normally zero — it is a sanity metric (a
-    /// nonzero value means the pair genuinely shares data).
-    pub fn overlap_lines(&self) -> u64 {
-        self.lines.values().filter(|l| l.owners == 0b11).count() as u64
-    }
-}
+use crate::coalescing::warp_lines;
+use crate::locality::LocalityObserver;
+use crate::reuse::{ReuseCounts, ReuseStack, INITIAL_CAP, REUSE_THRESHOLDS};
 
 /// One timeline's locality summary for one member, in the units the
 /// solo characterization reports.
@@ -326,22 +157,33 @@ impl PairProfile {
 /// Keep one observer across all of a pair scenario's co-scheduled
 /// launches: the stacks carry reuse state across launches exactly like
 /// a solo workload characterization does.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PairObserver {
-    shared: InterferenceStack,
+    /// The merged timeline. Each line's payload is its owner bitmask
+    /// (bit `k` set iff member `k` touched it); a pair never merges
+    /// shards, so no first touches are tracked.
+    shared: ReuseStack<u8>,
+    /// Per-member counters on the shared timeline.
+    co: [ReuseCounts; 2],
     solo: [LocalityObserver; 2],
     current: usize,
+}
+
+impl Default for PairObserver {
+    fn default() -> Self {
+        Self {
+            shared: ReuseStack::new(INITIAL_CAP, false),
+            co: [ReuseCounts::default(); 2],
+            solo: Default::default(),
+            current: 0,
+        }
+    }
 }
 
 impl PairObserver {
     /// Creates an empty observer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The shared (contention) timeline.
-    pub fn shared(&self) -> &InterferenceStack {
-        &self.shared
     }
 
     /// Attributes subsequent events to member `m`. The co-scheduled path
@@ -358,51 +200,44 @@ impl PairObserver {
         &self.solo[m]
     }
 
-    fn summary(&self, m: usize) -> (LocalitySummary, LocalitySummary) {
-        let solo = LocalitySummary {
-            touches: self.solo[m].touches(),
-            cold_frac: self.solo[m].cold_frac(),
-            reuse_cdf: [
-                self.solo[m].reuse_cdf(0),
-                self.solo[m].reuse_cdf(1),
-                self.solo[m].reuse_cdf(2),
-            ],
-            footprint_lines: self.solo[m].footprint_lines(),
+    /// Records a touch of `line` by `member` on both of its timelines.
+    fn touch(&mut self, member: usize, line: u32, warp: (u32, u32)) {
+        self.solo[member].touch(line, warp);
+        self.co[member].record(self.shared.touch(line, 1 << member));
+    }
+
+    /// Distinct lines on the shared timeline whose owner bits satisfy
+    /// `pred`.
+    fn lines_where(&self, pred: impl Fn(u8) -> bool) -> u64 {
+        self.shared.payloads().filter(|&&o| pred(o)).count() as u64
+    }
+
+    fn member(&self, m: usize, name: &str) -> PairMemberProfile {
+        let summary = |c: &ReuseCounts, footprint_lines| LocalitySummary {
+            touches: c.touches,
+            cold_frac: c.per_touch(c.absent as f64),
+            reuse_cdf: [0, 1, 2].map(|b| c.reuse_cdf(b, 0.0)),
+            footprint_lines,
         };
-        let co = LocalitySummary {
-            touches: self.shared.touches(m),
-            cold_frac: self.shared.cold_frac(m),
-            reuse_cdf: [
-                self.shared.reuse_cdf(m, 0),
-                self.shared.reuse_cdf(m, 1),
-                self.shared.reuse_cdf(m, 2),
-            ],
-            footprint_lines: self.shared.member_lines(m),
-        };
-        (solo, co)
+        let solo = &self.solo[m];
+        PairMemberProfile {
+            name: name.to_string(),
+            solo: summary(&solo.counts, solo.footprint_lines()),
+            co: summary(&self.co[m], self.lines_where(|o| o & (1 << m) != 0)),
+        }
     }
 
     /// Finalizes the profile. `names` label the members (workload or
     /// kernel names); `policy` is the dispatch policy's canonical name.
     pub fn finish(self, names: [&str; 2], policy: &'static str) -> PairProfile {
-        let (solo_a, co_a) = self.summary(0);
-        let (solo_b, co_b) = self.summary(1);
         PairProfile {
-            members: [
-                PairMemberProfile {
-                    name: names[0].to_string(),
-                    solo: solo_a,
-                    co: co_a,
-                },
-                PairMemberProfile {
-                    name: names[1].to_string(),
-                    solo: solo_b,
-                    co: co_b,
-                },
-            ],
+            members: [self.member(0, names[0]), self.member(1, names[1])],
             policy,
-            footprint_lines: self.shared.footprint_lines(),
-            overlap_lines: self.shared.overlap_lines(),
+            footprint_lines: self.shared.len() as u64,
+            // Registry pairs allocate disjoint buffers, so this is
+            // normally zero — a sanity metric (nonzero means the pair
+            // genuinely shares data).
+            overlap_lines: self.lines_where(|o| o == 0b11),
         }
     }
 }
@@ -412,23 +247,9 @@ impl TraceObserver for PairObserver {
         if e.space != Space::Global {
             return;
         }
-        // The solo stack consumes the raw event (its own line
-        // extraction); the shared stack gets the identically deduped
-        // per-warp line set, attributed to the current member.
-        self.solo[self.current].on_mem(e);
-        let mut lines = [0u32; gwc_simt::WARP_SIZE];
-        let mut n = 0usize;
-        for a in e.active_addrs() {
-            lines[n] = a / SEGMENT_BYTES;
-            n += 1;
-        }
-        lines[..n].sort_unstable();
-        let mut prev = u32::MAX;
-        for (i, &line) in lines[..n].iter().enumerate() {
-            if i == 0 || line != prev {
-                self.shared.touch(self.current, line);
-            }
-            prev = line;
+        let (lines, n) = warp_lines(e.active_addrs());
+        for &line in &lines[..n] {
+            self.touch(self.current, line, (e.block, e.warp));
         }
     }
 }
@@ -450,26 +271,16 @@ mod tests {
     /// actually interleaves.
     #[test]
     fn lone_member_matches_solo_observer() {
-        let mut shared = InterferenceStack::with_capacity(64);
-        let mut solo = LocalityObserver::with_capacity(64);
-        let stream: Vec<u32> = (0..200).map(|i| (i * 13 + i / 7) % 30).collect();
-        for &l in &stream {
-            shared.touch(0, l);
-            solo.touch(l, (0, 0));
+        let mut obs = PairObserver::new();
+        for l in (0..200u32).map(|i| (i * 13 + i / 7) % 30) {
+            obs.touch(0, l, (0, 0));
         }
-        assert_eq!(shared.touches(0), solo.touches());
-        assert_eq!(shared.cold_frac(0).to_bits(), solo.cold_frac().to_bits());
-        for b in 0..3 {
-            assert_eq!(
-                shared.reuse_cdf(0, b).to_bits(),
-                solo.reuse_cdf(b).to_bits(),
-                "bucket {b}"
-            );
-        }
-        assert_eq!(shared.footprint_lines(), solo.footprint_lines());
-        assert_eq!(shared.member_lines(0), solo.footprint_lines());
-        assert_eq!(shared.member_lines(1), 0);
-        assert_eq!(shared.overlap_lines(), 0);
+        let profile = obs.finish(["alone", "idle"], "round-robin");
+        let alone = &profile.members[0];
+        assert_eq!(alone.co, alone.solo);
+        assert_eq!(profile.footprint_lines, alone.solo.footprint_lines);
+        assert_eq!(profile.members[1].co.footprint_lines, 0);
+        assert_eq!(profile.overlap_lines, 0);
     }
 
     /// An interleaved partner widens the victim's reuse distances: the
@@ -480,13 +291,9 @@ mod tests {
     fn partner_traffic_widens_reuse_distances() {
         let mut obs = PairObserver::new();
         for round in 0..10u32 {
-            obs.current = 0;
-            obs.shared.touch(0, round % 2);
-            obs.solo[0].touch(round % 2, (0, 0));
-            obs.current = 1;
+            obs.touch(0, round % 2, (0, 0));
             for l in 0..40u32 {
-                obs.shared.touch(1, 1000 + l);
-                obs.solo[1].touch(1000 + l, (0, 0));
+                obs.touch(1, 1000 + l, (0, 0));
             }
         }
         let profile = obs.finish(["victim", "aggressor"], "round-robin");
@@ -515,37 +322,18 @@ mod tests {
     /// Shared lines set both owner bits and register as overlap.
     #[test]
     fn overlap_accounting() {
-        let mut s = InterferenceStack::with_capacity(64);
-        s.touch(0, 1);
-        s.touch(1, 1);
-        s.touch(0, 2);
-        s.touch(1, 3);
-        assert_eq!(s.footprint_lines(), 3);
-        assert_eq!(s.overlap_lines(), 1);
-        assert_eq!(s.member_lines(0), 2);
-        assert_eq!(s.member_lines(1), 2);
-    }
-
-    /// Compression (forced by a tiny capacity) preserves distances, as
-    /// in the solo observer.
-    #[test]
-    fn compression_preserves_member_distances() {
-        let mut small = InterferenceStack::with_capacity(64);
-        let mut big = InterferenceStack::with_capacity(1 << 14);
-        let mut x = 0x9E37_79B9u64;
-        for _ in 0..2000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let m = (x & 1) as usize;
-            let line = ((x >> 8) % 50) as u32 + (m as u32 * 1000);
-            small.touch(m, line);
-            big.touch(m, line);
-        }
-        for m in 0..2 {
-            assert_eq!(small.hist[m], big.hist[m], "member {m} histograms");
-            assert_eq!(small.cold[m], big.cold[m]);
-        }
-        assert_eq!(small.footprint_lines(), big.footprint_lines());
+        let mut obs = PairObserver::new();
+        obs.touch(0, 1, (0, 0));
+        obs.touch(1, 1, (0, 0));
+        obs.touch(0, 2, (0, 0));
+        obs.touch(1, 3, (0, 0));
+        let profile = obs.finish(["a", "b"], "round-robin");
+        assert_eq!(profile.footprint_lines, 3);
+        assert_eq!(profile.overlap_lines, 1);
+        assert_eq!(profile.members[0].co.footprint_lines, 2);
+        assert_eq!(profile.members[1].co.footprint_lines, 2);
+        // Member 1's touch of line 1 is a reuse on the shared timeline
+        // but cold on its own.
+        assert!(profile.members[1].cold_delta() < 0.0);
     }
 }

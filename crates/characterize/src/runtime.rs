@@ -49,7 +49,14 @@ const MIN_BLOCKS_PER_SHARD: usize = 2;
 ///
 /// Propagates any [`SimtError`]; with several failing shards, the error
 /// of the lowest block range wins (the one serial execution would have
-/// hit first). The instruction budget applies per shard.
+/// hit first). The device's instruction budget applies per launch, as
+/// on the serial path: the shards' warp instructions are summed in block
+/// order, and the launch fails with
+/// [`SimtError::InstructionBudgetExceeded`] at the first shard whose
+/// running total passes it. One case is not serial-equivalent: a shard
+/// that faults after the running total passed the budget inside that
+/// same shard reports its fault, where the serial run would have
+/// stopped at the budget first.
 pub fn profile_launch_sharded(
     device: &mut Device,
     kernel: &Kernel,
@@ -118,6 +125,7 @@ pub fn profile_launch_sharded(
             .collect()
     });
 
+    let budget = device.limits().instr_budget;
     let mut total = LaunchStats::default();
     // Exec profiles merge exactly like the shard observers: elementwise,
     // in ascending block order (the merge is commutative anyway).
@@ -127,6 +135,9 @@ pub fn profile_launch_sharded(
         for result in results {
             let t0 = gwc_obs::enabled().then(std::time::Instant::now);
             let (mut shard_dev, shard, stats) = result?;
+            if total.warp_instrs + stats.warp_instrs > budget {
+                return Err(SimtError::InstructionBudgetExceeded { budget });
+            }
             profiler.merge(shard);
             merge_stats(&mut total, &stats);
             if let Some(shard_exec) = shard_dev.take_exec_profile() {
@@ -400,6 +411,49 @@ mod tests {
                 .all(|f| f.kernel != "serial_request_probe"),
             "threads=1 is a request for serial execution, not a fallback"
         );
+    }
+
+    /// The instruction budget is per launch at any thread count: a
+    /// shardable loop whose total passes the budget fails identically
+    /// even when every shard alone stays under it.
+    #[test]
+    fn instruction_budget_is_per_launch_at_any_thread_count() {
+        use gwc_simt::exec::DeviceLimits;
+
+        let mut b = KernelBuilder::new("spin");
+        let out = b.param_u32("out");
+        let i = b.global_tid_x();
+        let acc = b.var_u32(i);
+        b.for_range_u32(Value::U32(0), Value::U32(64), 1, |b, j| {
+            let n = b.add_u32(acc, j);
+            b.assign(acc, n);
+        });
+        let oi = b.index(out, i, 4);
+        b.st_global_u32(oi, acc);
+        let k = b.build().unwrap();
+        assert!(k.is_block_shardable());
+        let config = LaunchConfig::new(8, 32);
+        let run = |threads: usize, limits: Option<DeviceLimits>| {
+            let mut dev = Device::new();
+            if let Some(limits) = limits {
+                dev.set_limits(limits);
+            }
+            let out = dev.alloc_zeroed_u32(8 * 32);
+            characterize_launch_sharded(&mut dev, &k, &config, &[out.arg()], threads)
+        };
+        let total = run(1, None).unwrap().stats().warp_instrs;
+        // Above half the launch, so no shard of 2 or 4 passes it alone.
+        let budget = total * 3 / 5;
+        let limits = DeviceLimits {
+            instr_budget: budget,
+        };
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                run(threads, Some(limits)).unwrap_err(),
+                SimtError::InstructionBudgetExceeded { budget },
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

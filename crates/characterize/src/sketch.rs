@@ -8,14 +8,14 @@
 //! *exact* or carries a declared error bound (see [`bounds`]):
 //!
 //! 1. **Bounded recency window** of the `W = REUSE_THRESHOLDS[2] + 1`
-//!    most recently touched distinct lines, running the same
-//!    last-access-time + Fenwick algorithm as the exact observer. A
-//!    touch that hits the window has a true LRU stack distance of at
-//!    most `REUSE_THRESHOLDS[2]`, so the three bounded histogram
-//!    buckets the schema reports (`reuse_cdf(0..=2)`) are **exact** —
-//!    the window is precisely the region the thresholds can see. A
-//!    touch that misses the window is either a cold touch or a reuse at
-//!    distance `> REUSE_THRESHOLDS[2]`; only that *split* is estimated.
+//!    most recently touched distinct lines: the exact observer's reuse
+//!    stack with LRU eviction. A touch that hits the window has a true
+//!    LRU stack distance of at most `REUSE_THRESHOLDS[2]`, so the three
+//!    bounded histogram buckets the schema reports (`reuse_cdf(0..=2)`)
+//!    are **exact** — the window is precisely the region the thresholds
+//!    can see. A touch that misses the window is either a cold touch or
+//!    a reuse at distance `> REUSE_THRESHOLDS[2]`; only that *split* is
+//!    estimated.
 //! 2. **KMV (bottom-k) distinct sample** over line ids: the `K`
 //!    smallest `splitmix64` images of the lines seen, each carrying the
 //!    line's first-toucher warp and sharing flags. It yields the
@@ -27,9 +27,9 @@
 //! When a launch's footprint fits both summaries (`<= K` distinct lines
 //! and `<= W` window slots) every derived characteristic is
 //! bit-identical to the exact tier. Shard merges reproduce the serial
-//! sketch bit for bit (the same cross-shard stack-merge argument as the
-//! exact observer, restricted to the window), so the sketch tier keeps
-//! the any-thread-count determinism guarantee.
+//! sketch bit for bit (the exact observer's stack merge, truncated to
+//! the window), so the sketch tier keeps the any-thread-count
+//! determinism guarantee.
 //!
 //! A tiny space-saving top-K structure rides along as a *diagnostic*
 //! (hottest lines by touch count); it feeds no profile value.
@@ -39,9 +39,9 @@ use std::collections::BTreeMap;
 use gwc_simt::instr::Space;
 use gwc_simt::trace::{MemEvent, TraceObserver};
 
-use crate::coalescing::SEGMENT_BYTES;
-use crate::fxhash::FxHashMap;
-use crate::locality::{Fenwick, REUSE_THRESHOLDS};
+use crate::coalescing::warp_lines;
+use crate::locality::{sharing_frac, Sharing};
+use crate::reuse::{Payload, ReuseCounts, ReuseStack, REUSE_THRESHOLDS};
 
 /// Which implementation backs the heavy observers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,11 +86,6 @@ pub const WINDOW_LINES: usize = REUSE_THRESHOLDS[2] as usize + 1;
 /// is ~`1/sqrt(K - 1)` ≈ 3.1%.
 pub const KMV_K: usize = 1024;
 
-/// Fixed time-axis capacity for the window Fenwick. The live footprint
-/// never exceeds `WINDOW_LINES`, so compression always has headroom and
-/// the axis never grows.
-const SKETCH_CAP: usize = (WINDOW_LINES * 4).next_power_of_two();
-
 /// Number of heavy-hitter lines the diagnostic space-saving sketch
 /// tracks.
 pub const HOT_LINES: usize = 16;
@@ -122,13 +117,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-#[derive(Debug, Clone, Copy)]
-struct KmvEntry {
-    first_warp: (u32, u32),
-    multi_warp: bool,
-    multi_block: bool,
-}
-
 /// Bottom-k distinct sample keyed by `splitmix64(line)`, with exact
 /// sharing flags for every surviving entry. The acceptance threshold
 /// (the k-th smallest hash) only ever decreases, so a line rejected at
@@ -136,41 +124,21 @@ struct KmvEntry {
 /// the line's true first touch — its flags are exact.
 #[derive(Debug, Default)]
 struct KmvSketch {
-    entries: BTreeMap<u64, KmvEntry>,
+    entries: BTreeMap<u64, Sharing>,
 }
 
 impl KmvSketch {
     fn observe(&mut self, hash: u64, warp: (u32, u32)) {
         if let Some(e) = self.entries.get_mut(&hash) {
-            if e.first_warp != warp {
-                e.multi_warp = true;
-                if e.first_warp.0 != warp.0 {
-                    e.multi_block = true;
-                }
-            }
+            e.retouch(warp);
             return;
         }
-        if self.entries.len() < KMV_K {
-            self.entries.insert(
-                hash,
-                KmvEntry {
-                    first_warp: warp,
-                    multi_warp: false,
-                    multi_block: false,
-                },
-            );
+        let full = self.entries.len() >= KMV_K;
+        if full && hash > *self.entries.last_key_value().expect("sketch is full").0 {
             return;
         }
-        let (&max, _) = self.entries.last_key_value().expect("sketch is full");
-        if hash < max {
-            self.entries.insert(
-                hash,
-                KmvEntry {
-                    first_warp: warp,
-                    multi_warp: false,
-                    multi_block: false,
-                },
-            );
+        self.entries.insert(hash, Sharing::first(warp));
+        if full {
             self.entries.pop_last();
         }
     }
@@ -185,31 +153,16 @@ impl KmvSketch {
         (KMV_K as f64 - 1.0) * 18_446_744_073_709_551_616.0 / (kth as f64 + 1.0)
     }
 
-    fn sharing(&self, pred: impl Fn(&KmvEntry) -> bool) -> f64 {
-        if self.entries.is_empty() {
-            return 0.0;
-        }
-        let shared = self.entries.values().filter(|e| pred(e)).count();
-        shared as f64 / self.entries.len() as f64
-    }
-
     /// Union merge: identical to observing both streams serially. The
     /// k smallest hashes of the union are present in at least one side
     /// (each side keeps its own k smallest), and flag union over the
     /// two sides' exact flags is the serial flag set.
     fn merge(&mut self, later: KmvSketch) {
         for (hash, b) in later.entries {
-            match self.entries.entry(hash) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let a = e.get_mut();
-                    a.multi_warp = a.multi_warp || b.multi_warp || a.first_warp != b.first_warp;
-                    a.multi_block =
-                        a.multi_block || b.multi_block || a.first_warp.0 != b.first_warp.0;
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(b);
-                }
-            }
+            self.entries
+                .entry(hash)
+                .and_modify(|a| a.absorb(b))
+                .or_insert(b);
         }
         while self.entries.len() > KMV_K {
             self.entries.pop_last();
@@ -219,7 +172,7 @@ impl KmvSketch {
     fn bytes_in_use(&self) -> usize {
         // BTreeMap node overhead is amortized ~2/3 occupancy; count the
         // payload plus a conservative per-entry overhead.
-        self.entries.len() * (std::mem::size_of::<(u64, KmvEntry)>() + 16)
+        self.entries.len() * (std::mem::size_of::<(u64, Sharing)>() + 16)
     }
 }
 
@@ -280,44 +233,23 @@ impl SpaceSaving {
 /// address footprint.
 #[derive(Debug)]
 pub struct SketchLocalityObserver {
-    /// Lines currently inside the recency window, by last access time.
-    window: FxHashMap<u32, usize>,
-    /// Inverse index `last_time -> line` (times are unique): O(log W)
-    /// LRU eviction and deterministic compression order.
-    by_time: BTreeMap<usize, u32>,
-    fenwick: Fenwick,
-    now: usize,
-    /// In-window reuses bucketed by [`REUSE_THRESHOLDS`] — exact; an
-    /// in-window distance never exceeds `REUSE_THRESHOLDS[2]`.
-    hist: [u64; 3],
-    /// Touches that missed the window: cold touches plus reuses at
+    window: ReuseStack<()>,
+    /// In-window reuses are exact: an in-window distance never exceeds
+    /// `REUSE_THRESHOLDS[2]`, so the overflow bucket stays empty.
+    /// `absent` counts window misses: cold touches plus reuses at
     /// distance `> REUSE_THRESHOLDS[2]`, split via the KMV estimate.
-    misses: u64,
-    touches: u64,
+    counts: ReuseCounts,
     kmv: KmvSketch,
     hot: SpaceSaving,
-    /// First `WINDOW_LINES` first-touch lines in stream order — the
-    /// later-shard side of the cross-shard stack merge. Entries past
-    /// the cap can never resolve to an in-window distance (their merge
-    /// position alone exceeds every threshold), so the cap loses
-    /// nothing. While this list is below its cap no eviction can have
-    /// happened yet, so "miss" and "first touch" coincide exactly.
-    first_touch_order: Vec<u32>,
 }
 
 impl Default for SketchLocalityObserver {
     fn default() -> Self {
         Self {
-            window: FxHashMap::default(),
-            by_time: BTreeMap::new(),
-            fenwick: Fenwick::new(SKETCH_CAP),
-            now: 0,
-            hist: [0; 3],
-            misses: 0,
-            touches: 0,
+            window: ReuseStack::windowed(WINDOW_LINES),
+            counts: ReuseCounts::default(),
             kmv: KmvSketch::default(),
             hot: SpaceSaving::default(),
-            first_touch_order: Vec::new(),
         }
     }
 }
@@ -328,7 +260,7 @@ impl SketchLocalityObserver {
     }
 
     pub fn touches(&self) -> u64 {
-        self.touches
+        self.counts.touches
     }
 
     /// Estimated distinct 128-byte lines touched (exact below
@@ -340,50 +272,35 @@ impl SketchLocalityObserver {
     fn cold_estimate(&self) -> f64 {
         // Every cold touch is a window miss, and the number of cold
         // touches is exactly the distinct-line count the KMV estimates.
-        self.kmv.footprint_estimate().min(self.misses as f64)
-    }
-
-    /// Estimated reuses at distance beyond the window (bit-exact zero
-    /// when the footprint fits the summaries).
-    fn far_reuse_estimate(&self) -> f64 {
-        (self.misses as f64 - self.cold_estimate()).max(0.0)
+        self.kmv.footprint_estimate().min(self.counts.absent as f64)
     }
 
     /// Fraction of touches that were first-touch (cold), estimated.
     pub fn cold_frac(&self) -> f64 {
-        if self.touches == 0 {
-            0.0
-        } else {
-            self.cold_estimate() / self.touches as f64
-        }
+        self.counts.per_touch(self.cold_estimate())
     }
 
     /// Fraction of reuses with stack distance at most
     /// `REUSE_THRESHOLDS[bucket]`; numerators exact, denominator's
-    /// far-reuse share estimated.
+    /// far-reuse share (bit-exact zero when the footprint fits the
+    /// summaries) estimated.
     ///
     /// # Panics
     ///
     /// Panics if `bucket >= 3`.
     pub fn reuse_cdf(&self, bucket: usize) -> f64 {
-        assert!(bucket < REUSE_THRESHOLDS.len());
-        let in_window: u64 = self.hist.iter().sum();
-        let reuses = in_window as f64 + self.far_reuse_estimate();
-        if reuses == 0.0 {
-            return 0.0;
-        }
-        let upto: u64 = self.hist.iter().take(bucket + 1).sum();
-        upto as f64 / reuses
+        let far = (self.counts.absent as f64 - self.cold_estimate()).max(0.0);
+        self.counts.reuse_cdf(bucket, far)
     }
 
     /// Fraction of sampled lines touched by at least two warps.
     pub fn inter_warp_sharing(&self) -> f64 {
-        self.kmv.sharing(|e| e.multi_warp)
+        sharing_frac(self.kmv.entries.values(), |e| e.multi_warp)
     }
 
     /// Fraction of sampled lines touched by at least two blocks.
     pub fn inter_block_sharing(&self) -> f64 {
-        self.kmv.sharing(|e| e.multi_block)
+        sharing_frac(self.kmv.entries.values(), |e| e.multi_block)
     }
 
     /// Hottest lines diagnostic (space-saving over-estimates).
@@ -394,151 +311,27 @@ impl SketchLocalityObserver {
     /// Approximate heap bytes held. Bounded by construction:
     /// O(`WINDOW_LINES` + `KMV_K`) whatever the footprint.
     pub fn bytes_in_use(&self) -> u64 {
-        let window_entry = std::mem::size_of::<(u32, usize)>() + 1;
-        let by_time_entry = std::mem::size_of::<(usize, u32)>() + 16;
-        (self.window.capacity() * window_entry
-            + self.by_time.len() * by_time_entry
-            + self.fenwick.slots() * std::mem::size_of::<u32>()
-            + self.first_touch_order.capacity() * std::mem::size_of::<u32>()
-            + self.kmv.bytes_in_use()) as u64
+        self.window.bytes_in_use() + self.kmv.bytes_in_use() as u64
     }
 
     pub(crate) fn touch(&mut self, line: u32, warp: (u32, u32)) {
-        self.touches += 1;
         self.kmv.observe(splitmix64(line as u64), warp);
         self.hot.observe(line);
-        if self.now >= SKETCH_CAP {
-            self.compress();
-        }
-        match self.window.get(&line).copied() {
-            Some(t) => {
-                let distance = self.fenwick.range(t + 1, self.now.saturating_sub(1));
-                let bucket = REUSE_THRESHOLDS
-                    .iter()
-                    .position(|&th| distance <= th)
-                    .expect("in-window distance is at most REUSE_THRESHOLDS[2]");
-                self.hist[bucket] += 1;
-                self.fenwick.add(t, -1);
-                self.fenwick.add(self.now, 1);
-                self.by_time.remove(&t);
-                self.by_time.insert(self.now, line);
-                self.window.insert(line, self.now);
-            }
-            None => {
-                self.misses += 1;
-                if self.first_touch_order.len() < WINDOW_LINES {
-                    self.first_touch_order.push(line);
-                }
-                self.fenwick.add(self.now, 1);
-                self.window.insert(line, self.now);
-                self.by_time.insert(self.now, line);
-                if self.window.len() > WINDOW_LINES {
-                    let (&t_old, &lru) = self.by_time.first_key_value().expect("window not empty");
-                    self.by_time.remove(&t_old);
-                    self.window.remove(&lru);
-                    self.fenwick.add(t_old, -1);
-                }
-            }
-        }
-        self.now += 1;
-    }
-
-    /// Reassigns time slots densely, preserving recency order — same
-    /// invariant as the exact observer's compression.
-    fn compress(&mut self) {
-        let order: Vec<u32> = self.by_time.values().copied().collect();
-        self.fenwick = Fenwick::new(SKETCH_CAP);
-        self.by_time.clear();
-        for (new_t, &line) in order.iter().enumerate() {
-            self.window.insert(line, new_t);
-            self.by_time.insert(new_t, line);
-            self.fenwick.add(new_t, 1);
-        }
-        self.now = order.len();
-        assert!(self.now < SKETCH_CAP, "window exceeds sketch time axis");
+        self.counts.record(self.window.touch(line, ()));
     }
 }
 
 impl crate::merge::MergeableObserver for SketchLocalityObserver {
-    /// Exact stack merge of a later shard, restricted to the window:
-    /// the merged sketch is bit-identical to observing both substreams
-    /// serially, so sketch-tier profiles stay deterministic at any
-    /// thread count.
-    ///
-    /// `later`'s in-window reuses add directly (every intervening line
-    /// is inside `later`'s substream). `later`'s first touches resolve
-    /// against `self`'s window with the same distance formula as the
-    /// exact merge — a line still in `self`'s window has *all* more
-    /// recent lines still in the window too (anything evicted after it
-    /// would have evicted it first), so the window Fenwick sees the
-    /// full serial distance. A resolved distance within the thresholds
-    /// is a serial window hit (distance <= REUSE_THRESHOLDS[2] is
-    /// exactly the window-residency condition); anything else stays a
-    /// miss. The merged window is the union's `WINDOW_LINES` most
-    /// recent lines, which is the serial window.
+    /// Exact stack merge of a later shard, restricted to the window (see
+    /// `ReuseStack::merge`): the merged sketch is bit-identical to
+    /// observing both substreams serially, so sketch-tier profiles stay
+    /// deterministic at any thread count. A cross-shard reuse resolved
+    /// inside the window turns one of `later`'s misses into a hit.
     fn merge(&mut self, later: Self) {
-        self.touches += later.touches;
-        for (a, b) in self.hist.iter_mut().zip(later.hist) {
-            *a += b;
-        }
-
-        let mut resolved_hits = 0u64;
-        let mut aux = Fenwick::new(SKETCH_CAP);
-        let self_top = self.now.saturating_sub(1);
-        for (pos, &line) in later.first_touch_order.iter().enumerate() {
-            match self.window.get(&line).copied() {
-                Some(t) => {
-                    let in_self = self.fenwick.range(t + 1, self_top);
-                    let dup = aux.range(t + 1, self_top);
-                    let distance = in_self + pos as u64 - dup;
-                    if distance <= REUSE_THRESHOLDS[2] {
-                        let bucket = REUSE_THRESHOLDS
-                            .iter()
-                            .position(|&th| distance <= th)
-                            .expect("distance within thresholds");
-                        self.hist[bucket] += 1;
-                        resolved_hits += 1;
-                    }
-                    // Counted by both the window Fenwick and `pos` for
-                    // every later entry after this one, hit or not.
-                    aux.add(t, 1);
-                }
-                None => {
-                    if self.first_touch_order.len() < WINDOW_LINES {
-                        self.first_touch_order.push(line);
-                    }
-                }
-            }
-        }
-        self.misses += later.misses - resolved_hits;
-
+        let resolved = self.window.merge(later.window);
+        self.counts.merge(later.counts, resolved);
         self.kmv.merge(later.kmv);
         self.hot.merge(&later.hot);
-
-        // Rebuild the merged window: union ranked by recency (later's
-        // lines outrank all self-only lines), truncated to the most
-        // recent WINDOW_LINES.
-        let mut order: Vec<(u8, usize, u32)> =
-            Vec::with_capacity(self.window.len() + later.window.len());
-        for (&line, &t) in &self.window {
-            if !later.window.contains_key(&line) {
-                order.push((0, t, line));
-            }
-        }
-        for (&line, &t) in &later.window {
-            order.push((1, t, line));
-        }
-        order.sort_unstable();
-        let keep_from = order.len().saturating_sub(WINDOW_LINES);
-        self.window.clear();
-        self.by_time.clear();
-        self.fenwick = Fenwick::new(SKETCH_CAP);
-        for (new_t, &(_, _, line)) in order[keep_from..].iter().enumerate() {
-            self.window.insert(line, new_t);
-            self.by_time.insert(new_t, line);
-            self.fenwick.add(new_t, 1);
-        }
-        self.now = order.len() - keep_from;
     }
 }
 
@@ -547,21 +340,10 @@ impl TraceObserver for SketchLocalityObserver {
         if e.space != Space::Global {
             return;
         }
-        // Identical lane handling to the exact observer: stack-buffered
-        // line extraction, per-warp dedup, global space only.
-        let mut lines = [0u32; gwc_simt::WARP_SIZE];
-        let mut n = 0usize;
-        for a in e.active_addrs() {
-            lines[n] = a / SEGMENT_BYTES;
-            n += 1;
-        }
-        lines[..n].sort_unstable();
-        let mut prev = u32::MAX;
-        for (i, &line) in lines[..n].iter().enumerate() {
-            if i == 0 || line != prev {
-                self.touch(line, (e.block, e.warp));
-            }
-            prev = line;
+        // Identical lane handling to the exact observer.
+        let (lines, n) = warp_lines(e.active_addrs());
+        for &line in &lines[..n] {
+            self.touch(line, (e.block, e.warp));
         }
     }
 }
@@ -571,6 +353,7 @@ mod tests {
     use super::*;
     use crate::locality::LocalityObserver;
     use crate::merge::MergeableObserver;
+    use crate::reuse::tests::recency;
 
     fn xorshift_stream(len: usize, lines: u32) -> Vec<(u32, (u32, u32))> {
         let mut x = 0x243f_6a88_85a3_08d3u64;
@@ -696,32 +479,21 @@ mod tests {
                     second.touch(line, warp);
                 }
                 first.merge(second);
-                assert_eq!(first.hist, serial.hist, "split {split}");
-                assert_eq!(first.misses, serial.misses, "split {split}");
-                assert_eq!(first.touches, serial.touches);
-                // `now` is a dense rebuild after a merge but sparse
+                assert_eq!(first.counts, serial.counts, "split {split}");
+                // Time stamps are a dense rebuild after a merge but sparse
                 // serially; only the recency *order* is the invariant.
-                let fw: Vec<_> = first.by_time.values().collect();
-                let sw: Vec<_> = serial.by_time.values().collect();
-                assert_eq!(fw, sw, "window order, split {split}");
                 assert_eq!(
-                    first.kmv.entries.len(),
-                    serial.kmv.entries.len(),
-                    "kmv size"
+                    recency(&first.window),
+                    recency(&serial.window),
+                    "window order, split {split}"
                 );
-                for ((ha, a), (hb, b)) in first.kmv.entries.iter().zip(&serial.kmv.entries) {
-                    assert_eq!(ha, hb);
-                    assert_eq!(a.first_warp, b.first_warp);
-                    assert_eq!(a.multi_warp, b.multi_warp);
-                    assert_eq!(a.multi_block, b.multi_block);
-                }
+                assert_eq!(first.kmv.entries, serial.kmv.entries, "kmv, split {split}");
                 // Merged observer keeps behaving like the serial one.
                 for &(line, warp) in stream.iter().rev().take(200) {
                     serial.touch(line, warp);
                     first.touch(line, warp);
                 }
-                assert_eq!(first.hist, serial.hist, "post-merge split {split}");
-                assert_eq!(first.misses, serial.misses);
+                assert_eq!(first.counts, serial.counts, "post-merge split {split}");
                 // Undo the extra touches for the next split round.
                 serial = SketchLocalityObserver::new();
                 for &(line, warp) in &stream {
@@ -748,9 +520,7 @@ mod tests {
             }
             merged.merge(shard);
         }
-        assert_eq!(merged.hist, serial.hist);
-        assert_eq!(merged.misses, serial.misses);
-        assert_eq!(merged.touches, serial.touches);
+        assert_eq!(merged.counts, serial.counts);
         assert_eq!(
             merged.footprint_lines().to_le_bytes(),
             serial.footprint_lines().to_le_bytes()
@@ -774,8 +544,8 @@ mod tests {
         }
         sketch.touch(0, (0, 0));
         exact.touch(0, (0, 0));
-        assert_eq!(sketch.hist.iter().sum::<u64>(), 0);
-        assert_eq!(sketch.misses, WINDOW_LINES as u64 + 2);
+        assert_eq!(sketch.counts.hist.iter().sum::<u64>(), 0);
+        assert_eq!(sketch.counts.absent, WINDOW_LINES as u64 + 2);
         // Exact: one reuse, in the overflow bucket -> cdf(2) = 0.
         assert_eq!(exact.reuse_cdf(2), 0.0);
         assert_eq!(sketch.reuse_cdf(2), 0.0);

@@ -1,14 +1,13 @@
-//! Offline randomized partition test: the seeded twin of
-//! `extras/tests/merge_properties.rs` (which runs the same property
-//! under proptest when network access allows building it).
+//! Randomized partition test for [`MergeableObserver`], driven by a
+//! self-contained seeded generator so it runs offline.
 //!
 //! For dozens of seeded random kernels, launch geometries, and block
-//! partitions, observing each shard separately and merging must equal
-//! observing the whole trace — bit for bit — and the absorbed global
-//! memory must match the serial run byte for byte.
+//! partitions, on both observer tiers, observing each shard separately
+//! and merging must equal observing the whole trace — bit for bit — and
+//! the absorbed global memory must match the serial run byte for byte.
 
 use gwc_characterize::merge::{merge_stats, MergeableObserver};
-use gwc_characterize::{characterize_launch, KernelProfile, Profiler};
+use gwc_characterize::{KernelProfile, ObserverTier, Profiler};
 use gwc_simt::builder::KernelBuilder;
 use gwc_simt::exec::Device;
 use gwc_simt::instr::Value;
@@ -139,8 +138,9 @@ fn profile_partitioned(
     config: &LaunchConfig,
     args: &[Value],
     bounds: &[u32],
+    tier: ObserverTier,
 ) -> KernelProfile {
-    let mut master = Profiler::new();
+    let mut master = Profiler::with_tier(tier);
     master.on_launch(kernel, config);
     let base = dev.global_image().to_vec();
     // Fork every shard from the pre-launch state first (parallel
@@ -149,7 +149,7 @@ fn profile_partitioned(
         .windows(2)
         .map(|w| {
             let mut sd = dev.fork();
-            let mut sp = Profiler::shard(kernel, config);
+            let mut sp = Profiler::shard_with(kernel, config, tier);
             let stats = sd
                 .run_block_range(kernel, config, args, w[0], w[1], &mut sp)
                 .expect("shard runs");
@@ -168,7 +168,9 @@ fn profile_partitioned(
 
 #[test]
 fn random_partitions_match_whole_trace() {
-    for seed in 0..48u64 {
+    for (seed, tier) in
+        (0..48u64).flat_map(|s| [(s, ObserverTier::Exact), (s, ObserverTier::Sketch)])
+    {
         let mut rng = Rng(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) + 1);
         let kernel = random_kernel(rng.next());
         assert!(kernel.is_block_shardable(), "seed {seed}");
@@ -179,8 +181,11 @@ fn random_partitions_match_whole_trace() {
 
         let mut dev_s = Device::new();
         let args_s = setup(&mut dev_s, total_threads);
-        let serial =
-            characterize_launch(&mut dev_s, &kernel, &config, &args_s).expect("serial launch");
+        let mut serial = Profiler::with_tier(tier);
+        dev_s
+            .launch_observed(&kernel, &config, &args_s, &mut serial)
+            .expect("serial launch");
+        let serial = serial.finish(kernel.name());
 
         let mut bounds = vec![0u32, blocks];
         for _ in 0..rng.below(4) {
@@ -194,20 +199,21 @@ fn random_partitions_match_whole_trace() {
 
         let mut dev_p = Device::new();
         let args_p = setup(&mut dev_p, total_threads);
-        let merged = profile_partitioned(&mut dev_p, &kernel, &config, &args_p, &bounds);
+        let merged = profile_partitioned(&mut dev_p, &kernel, &config, &args_p, &bounds, tier);
 
+        let tier = tier.name();
         for (dim, (a, b)) in serial.values().iter().zip(merged.values()).enumerate() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "seed {seed}: dim {dim} differs for partition {bounds:?}: {a} vs {b}"
+                "seed {seed} ({tier}): dim {dim} differs for partition {bounds:?}: {a} vs {b}"
             );
         }
-        assert_eq!(serial.raw(), merged.raw(), "seed {seed}");
+        assert_eq!(serial.raw(), merged.raw(), "seed {seed} ({tier})");
         assert_eq!(
             dev_s.global_image(),
             dev_p.global_image(),
-            "seed {seed}: global memory diverged"
+            "seed {seed} ({tier}): global memory diverged"
         );
     }
 }

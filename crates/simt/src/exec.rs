@@ -144,6 +144,11 @@ impl Device {
         self.limits = limits;
     }
 
+    /// The execution limits launches on this device run under.
+    pub fn limits(&self) -> DeviceLimits {
+        self.limits
+    }
+
     /// Selects the warp execution backend for subsequent launches.
     pub fn set_backend(&mut self, backend: BackendKind) {
         self.backend = backend;
@@ -385,7 +390,9 @@ impl Device {
     /// `on_launch`/`on_launch_end` events — the caller owns the launch
     /// boundary — and the returned stats count only the executed range
     /// (`stats.blocks == last - first`). The instruction budget applies
-    /// to the range, i.e. per shard when sharded.
+    /// to the range alone; a sharded caller keeps it per launch by
+    /// checking the shards' summed `warp_instrs` against
+    /// [`Device::limits`] in block order.
     ///
     /// Sharded use is only valid for kernels meeting the block-sharding
     /// contract ([`Kernel::is_block_shardable`]); otherwise run the whole
