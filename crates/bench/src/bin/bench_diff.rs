@@ -1,4 +1,4 @@
-//! Compares two bench reports written by `bench_run` and fails on
+//! Compares two bench reports written by `regen --bench` and fails on
 //! regressions: a row regresses when its candidate median exceeds the
 //! baseline median by more than the tolerance *and* the baseline is
 //! above the noise floor (tiny stages jitter too much to gate on).
@@ -9,25 +9,23 @@
 //! ```
 //!
 //! `--attribute` drills a regression down: it ranks the per-kernel
-//! wall-median deltas (bench schema v2 reports carry per-kernel
-//! rollups) and annotates each with the µop class whose lane-µop count
-//! moved the most, so the offending kernel and instruction mix change
-//! are named in the top row.
+//! wall-median deltas and annotates each with the µop class whose
+//! lane-µop count moved the most, so the offending kernel and
+//! instruction mix change are named in the top row.
 //!
 //! Exit status: 0 = no regressions, 1 = regression found (suppressed by
 //! `--warn-only`), 2 = usage or read error.
 
 use gwc_bench::cli::{reject_value, take_count, take_ratio, unknown_opt, ArgStream, Token};
 use gwc_bench::perf::{
-    attribute_reports, diff_reports, render_attribution, render_diff, report_backend,
-    report_observer_tier, report_policy, report_scale, DiffConfig,
+    attribute_reports, diff_reports, render_attribution, render_diff, DiffConfig,
 };
 use gwc_obs::json::Json;
 
 const USAGE: &str = "\
 usage: bench_diff OLD.json NEW.json [OPTIONS]
 
-Compares two bench_run reports row by row (total, per stage, per
+Compares two `regen --bench` reports row by row (total, per stage, per
 experiment) and exits non-zero when the candidate's median exceeds the
 baseline's by more than the tolerance.
 
@@ -37,7 +35,7 @@ options:
                      regress (default 1000000 = 1ms)
   --warn-only        report regressions but exit 0
   --attribute        drill the diff down to per-kernel wall-median and
-                     µop-class deltas (needs bench schema v2 reports)
+                     µop-class deltas
   -h, --help         print this help
 ";
 
@@ -89,44 +87,6 @@ fn main() {
     };
     let old = read_report(old_path, "baseline");
     let new = read_report(new_path, "candidate");
-    // A cross-backend diff is a legitimate comparison (it is how the
-    // SIMD speedup is measured) but never an apples-to-apples gate, so
-    // flag it loudly rather than failing.
-    let old_backend = report_backend(&old);
-    let new_backend = report_backend(&new);
-    if old_backend != new_backend {
-        eprintln!(
-            "bench_diff: note: reports come from different warp engines \
-             (baseline: {}, candidate: {}) — ratios include the backend change",
-            old_backend.unwrap_or("unrecorded"),
-            new_backend.unwrap_or("unrecorded"),
-        );
-    }
-    // Same story for population scale, observer tier and co-schedule
-    // policy: a standard-vs-large, exact-vs-sketch or cross-policy diff
-    // measures the tier change itself.
-    for (what, old_v, new_v) in [
-        ("study populations", report_scale(&old), report_scale(&new)),
-        (
-            "observer tiers",
-            report_observer_tier(&old),
-            report_observer_tier(&new),
-        ),
-        (
-            "co-schedule policies",
-            report_policy(&old),
-            report_policy(&new),
-        ),
-    ] {
-        if old_v != new_v {
-            eprintln!(
-                "bench_diff: note: reports come from different {what} \
-                 (baseline: {}, candidate: {}) — ratios include the tier change",
-                old_v.unwrap_or("unrecorded"),
-                new_v.unwrap_or("unrecorded"),
-            );
-        }
-    }
     let diff = match diff_reports(&old, &new, &cfg) {
         Ok(diff) => diff,
         Err(e) => {
@@ -134,14 +94,29 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // A cross-backend diff is a legitimate comparison (it is how the
+    // SIMD speedup is measured) but never an apples-to-apples gate, so
+    // flag it loudly rather than failing. Same story for population
+    // scale, observer tier and co-schedule policy: a standard-vs-large,
+    // exact-vs-sketch or cross-policy diff measures that change itself.
+    for (what, key) in [
+        ("warp engines", "backend"),
+        ("study populations", "scale"),
+        ("observer tiers", "observer_tier"),
+        ("co-schedule policies", "policy"),
+    ] {
+        let old_v = old.get(key).and_then(Json::as_str).unwrap_or_default();
+        let new_v = new.get(key).and_then(Json::as_str).unwrap_or_default();
+        if old_v != new_v {
+            eprintln!(
+                "bench_diff: note: reports come from different {what} \
+                 (baseline: {old_v}, candidate: {new_v}) — ratios include that change"
+            );
+        }
+    }
     print!("{}", render_diff(&diff, &cfg));
     if attribute {
-        // The drill-down needs bench schema v2 rollups; older reports
-        // still diff fine, so a missing section degrades to a note.
-        match attribute_reports(&old, &new) {
-            Ok(rows) => print!("\n{}", render_attribution(&rows)),
-            Err(e) => eprintln!("bench_diff: cannot attribute: {e}"),
-        }
+        print!("\n{}", render_attribution(&attribute_reports(&old, &new)));
     }
     let regressions = diff.regressions();
     if regressions.is_empty() {

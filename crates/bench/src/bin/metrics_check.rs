@@ -2,26 +2,24 @@
 //!
 //! ```sh
 //! cargo run -p gwc-bench --bin metrics_check -- metrics.json
-//! cargo run -p gwc-bench --bin metrics_check -- --schema v2 metrics.json
+//! cargo run -p gwc-bench --bin metrics_check -- --counter cache.misses=0 metrics.json
 //! ```
 //!
 //! Parses the file with the `gwc-obs` JSON parser, checks the schema
 //! version and required keys, and round-trips it (parse -> render ->
-//! parse -> compare) to prove the writer and parser agree. Any schema
-//! version the validator supports is accepted unless `--schema` pins
-//! one. `--counter NAME=VALUE` (repeatable) additionally asserts a
-//! counter's exact value — a counter absent from the report counts as 0,
-//! so `--counter cache.misses=0` holds for a fully warm run that never
-//! incremented it. The name may end in a `*` prefix glob:
+//! parse -> compare) to prove the writer and parser agree. Only the
+//! current schema version (v4) validates. `--counter NAME=VALUE`
+//! (repeatable) additionally asserts a counter's exact value — a
+//! counter absent from the report counts as 0, so `--counter
+//! cache.misses=0` holds for a fully warm run that never incremented
+//! it. The name may end in a `*` prefix glob:
 //! `--counter 'cache.*=26'` asserts the *sum* of every counter under
 //! `cache.` and a bare `--counter 'cache.*'` asserts that at least one
 //! such counter exists. `--counter-min NAME=VALUE` is the lower-bound
 //! variant (counter >= VALUE, same glob semantics) — the right shape for
 //! monotone gauges like `observer.bytes_peak` whose exact value is an
 //! implementation detail. `--hist NAME` (repeatable) asserts the named
-//! latency histogram is present; `--hist NAME:p99<=NANOS` (also
-//! `p50`/`p90`/`max`) additionally bounds one of its quantiles —
-//! a latency budget CI can hold. `--heartbeat FILE` validates a
+//! latency histogram is present. `--heartbeat FILE` validates a
 //! heartbeat NDJSON stream captured with `regen --heartbeat` instead of
 //! (or alongside) a report: every line must parse, sequence numbers
 //! must strictly increase, and progress must be monotone; `--min-ticks
@@ -29,7 +27,7 @@
 //! a bad report/stream or failed assertion, 2 on usage errors.
 
 use gwc_bench::cli::{take_count, take_value, unknown_opt, ArgStream, Token};
-use gwc_obs::report::validate_str_version;
+use gwc_obs::report::validate_str;
 use gwc_obs::sampler::validate_heartbeat;
 
 const USAGE: &str = "\
@@ -39,8 +37,6 @@ Validates a metrics report written by `regen --metrics` and/or a
 heartbeat NDJSON stream written by `--heartbeat`.
 
 options:
-  --schema v1|v2|v3|v4   require this exact schema version (default:
-                         accept any supported version)
   --counter NAME=VALUE   require the named counter to equal VALUE
                          (repeatable; an absent counter counts as 0).
                          NAME may end in `*`: the values of all matching
@@ -51,9 +47,6 @@ options:
                          at least VALUE (repeatable)
   --hist NAME            require the named latency histogram to be
                          present (repeatable)
-  --hist NAME:Q<=NANOS   additionally bound quantile Q of that histogram
-                         (Q: p50, p90, p99, or max), e.g.
-                         `--hist 'launch.wall_ns:p99<=5000000'`
   --heartbeat FILE       validate FILE as a heartbeat NDJSON stream
                          (makes the positional report optional)
   --min-ticks N          require at least N heartbeat ticks (default 1;
@@ -94,60 +87,20 @@ fn counter_sum(doc: &gwc_obs::json::Json, pattern: &str) -> (usize, u64) {
         })
 }
 
-/// One `--hist` assertion: histogram presence, optionally bounding a
-/// quantile (`p99<=5000000` keeps `quantile = "p99"`, `bound_ns = 5e6`).
-struct HistAssert {
-    name: String,
-    quantile: Option<(String, u64)>,
-}
-
-/// Parses a `--hist` value: `NAME` or `NAME:Q<=NANOS` with Q one of
-/// p50/p90/p99/max. Only `<=` bounds are supported — a lower bound on a
-/// latency quantile is not a budget anyone checks in CI.
-fn parse_hist_assert(v: &str) -> Result<HistAssert, String> {
-    let Some((name, spec)) = v.split_once(':') else {
-        return Ok(HistAssert {
-            name: v.to_string(),
-            quantile: None,
-        });
-    };
-    if name.is_empty() {
-        return Err("--hist: empty histogram name".into());
-    }
-    let Some((quant, bound)) = spec.split_once("<=") else {
-        return Err(format!(
-            "--hist: `{spec}` is not a quantile bound (expected Q<=NANOS)"
-        ));
-    };
-    if !["p50", "p90", "p99", "max"].contains(&quant) {
-        return Err(format!(
-            "--hist: `{quant}` is not a quantile (expected p50, p90, p99, or max)"
-        ));
-    }
-    let bound_ns: u64 = bound
-        .parse()
-        .map_err(|_| format!("--hist: `{bound}` is not an unsigned nanosecond count"))?;
-    Ok(HistAssert {
-        name: name.to_string(),
-        quantile: Some((quant.to_string(), bound_ns)),
-    })
-}
-
-/// The report row of the histogram with exactly this name, if any.
-fn hist_row<'d>(doc: &'d gwc_obs::json::Json, name: &str) -> Option<&'d gwc_obs::json::Json> {
+/// Whether the report carries a histogram with exactly this name.
+fn has_hist(doc: &gwc_obs::json::Json, name: &str) -> bool {
     doc.get("histograms")
         .and_then(|h| h.as_arr())
         .unwrap_or(&[])
         .iter()
-        .find(|row| row.get("name").and_then(|n| n.as_str()) == Some(name))
+        .any(|row| row.get("name").and_then(|n| n.as_str()) == Some(name))
 }
 
 fn main() {
     let mut path: Option<String> = None;
-    let mut pin: Option<u64> = None;
     let mut counter_asserts: Vec<(String, Option<u64>)> = Vec::new();
     let mut counter_min_asserts: Vec<(String, u64)> = Vec::new();
-    let mut hist_asserts: Vec<HistAssert> = Vec::new();
+    let mut hist_asserts: Vec<String> = Vec::new();
     let mut heartbeat: Option<String> = None;
     let mut min_ticks: Option<usize> = None;
     let mut args = ArgStream::new(std::env::args().skip(1));
@@ -163,18 +116,6 @@ fn main() {
             Token::Opt { flag, inline } => (flag, inline),
         };
         match flag.as_str() {
-            "--schema" => {
-                let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
-                pin = Some(match v.as_str() {
-                    "v1" | "1" => 1,
-                    "v2" | "2" => 2,
-                    "v3" | "3" => 3,
-                    "v4" | "4" => 4,
-                    _ => usage_error(&format!(
-                        "--schema: `{v}` is not a known version (v1, v2, v3, v4)"
-                    )),
-                });
-            }
             "--counter" => {
                 let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
                 let (name, value) = match v.split_once('=') {
@@ -227,7 +168,7 @@ fn main() {
                 if v.is_empty() {
                     usage_error("--hist: empty histogram name");
                 }
-                hist_asserts.push(parse_hist_assert(&v).unwrap_or_else(|e| usage_error(&e)));
+                hist_asserts.push(v);
             }
             "--heartbeat" => {
                 let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
@@ -275,9 +216,8 @@ fn main() {
             if !counter_asserts.is_empty()
                 || !counter_min_asserts.is_empty()
                 || !hist_asserts.is_empty()
-                || pin.is_some()
             {
-                usage_error("--schema/--counter/--hist assertions need a FILE.json to check");
+                usage_error("--counter/--hist assertions need a FILE.json to check");
             }
             return;
         }
@@ -287,7 +227,7 @@ fn main() {
         eprintln!("metrics_check: cannot read `{path}`: {e}");
         std::process::exit(2);
     });
-    match validate_str_version(&text, pin) {
+    match validate_str(&text) {
         Ok(doc) => {
             for (name, expected) in &counter_asserts {
                 let (matched, actual) = counter_sum(&doc, name);
@@ -316,27 +256,10 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            for assert in &hist_asserts {
-                let name = &assert.name;
-                let Some(row) = hist_row(&doc, name) else {
+            for name in &hist_asserts {
+                if !has_hist(&doc, name) {
                     eprintln!("metrics_check: `{path}`: histogram `{name}` is absent");
                     std::process::exit(1);
-                };
-                if let Some((quant, bound_ns)) = &assert.quantile {
-                    let field = format!("{quant}_ns");
-                    let actual = row.get(&field).and_then(|v| v.as_u64()).unwrap_or_else(|| {
-                        eprintln!(
-                            "metrics_check: `{path}`: histogram `{name}` has no `{field}` field"
-                        );
-                        std::process::exit(1);
-                    });
-                    if actual > *bound_ns {
-                        eprintln!(
-                            "metrics_check: `{path}`: histogram `{name}` {quant} is {actual}ns, \
-                             over the {bound_ns}ns bound"
-                        );
-                        std::process::exit(1);
-                    }
                 }
             }
             let version = doc.get("schema_version").and_then(|v| v.as_u64());

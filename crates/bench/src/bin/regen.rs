@@ -1,4 +1,5 @@
-//! Regenerates the study's experiment artifacts (tables and figures).
+//! Regenerates the study's experiment artifacts (tables and figures),
+//! and benchmarks that same run.
 //!
 //! ```sh
 //! cargo run --release -p gwc-bench --bin regen               # all of E1..E14
@@ -6,6 +7,8 @@
 //! cargo run --release -p gwc-bench --bin regen --threads 4   # parallel study
 //! cargo run --release -p gwc-bench --bin regen -- e1 --metrics m.json
 //! cargo run --release -p gwc-bench --bin regen -- e1 --trace t.json
+//! cargo run --release -p gwc-bench --bin regen -- e1 e2 --bench 5 \
+//!     --threads 4 --no-cache --out BENCH_small.json
 //! ```
 //!
 //! `--threads N` fans the characterization study out across N worker
@@ -34,18 +37,31 @@
 //! skips simulation entirely and is byte-identical to a cold one.
 //! `--no-cache` restores the uncached behavior.
 //!
+//! `--bench N --out FILE` measures the run: one warmup and N measured
+//! iterations of the whole pipeline, each under a fresh metrics
+//! recorder, summarized into a bench report (`gwc_bench::perf`) with
+//! min/median/p95 wall times per stage, experiment and kernel. The
+//! report label is FILE's stem without a leading `BENCH_`. The
+//! telemetry flags keep their meaning: their run-long recorders are
+//! tee'd into every iteration, warmup included. Stdout is the last
+//! iteration's experiments, byte-identical to the plain run. A bench
+//! run must name its cache mode (`--cache DIR` or `--no-cache`), so a
+//! cold-labelled report can never silently be a warm one.
+//!
 //! Exit status: 0 on success, 2 on a usage error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use gwc_bench::cli::{reject_value, take_count, take_value, unknown_opt, ArgStream, Token};
+use gwc_bench::perf::{build_bench_report, measure_iteration_config, validate_bench, BenchContext};
 use gwc_bench::telemetry::{self, TelemetryFlags};
 use gwc_bench::{all_experiments, render_experiments, StudyArtifacts, EXPERIMENTS};
 use gwc_characterize::ObserverTier;
 use gwc_core::pipeline::PipelineConfig;
 use gwc_obs::metrics::MetricsRecorder;
-use gwc_obs::report::render_summary;
+use gwc_obs::report::{fmt_ns, render_summary};
+use gwc_obs::sampler::TimeSeries;
 use gwc_obs::{Recorder, Sampler, TeeRecorder, TraceRecorder};
 use gwc_simt::backend::BackendKind;
 use gwc_simt::sched::SchedPolicy;
@@ -88,6 +104,12 @@ options:
                      sampler tick interval (default 500)
   --stall-after K    fire the stall watchdog after K zero-progress ticks,
                      0 to disable (default 8)
+  --bench N          run 1 warmup + N measured iterations and write a
+                     bench report (min/median/p95 wall times per stage,
+                     experiment and kernel) to --out; needs an explicit
+                     --cache DIR or --no-cache
+  --out FILE         bench report path (only with --bench); the report
+                     label is the file stem without a leading `BENCH_`
   -h, --help         print this help
 ";
 
@@ -104,7 +126,12 @@ struct Cli {
     trace_summary: bool,
     flame: Option<String>,
     telemetry: TelemetryFlags,
+    bench: Option<usize>,
+    out: Option<String>,
 }
+
+/// Untimed iterations before the measured ones in `--bench` mode.
+const BENCH_WARMUP: usize = 1;
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("regen: {msg}\n\n{USAGE}");
@@ -125,6 +152,8 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Cli {
         trace_summary: false,
         flame: None,
         telemetry: TelemetryFlags::default(),
+        bench: None,
+        out: None,
     };
     let mut cache_flag = false;
     let mut no_cache_flag = false;
@@ -188,6 +217,8 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Cli {
             "--trace" => take_value(&flag, inline, &mut args).map(|v| cli.trace = Some(v)),
             "--trace-summary" => reject_value(&flag, inline).map(|()| cli.trace_summary = true),
             "--flame" => take_value(&flag, inline, &mut args).map(|v| cli.flame = Some(v)),
+            "--bench" => take_count(&flag, inline, &mut args).map(|n| cli.bench = Some(n)),
+            "--out" => take_value(&flag, inline, &mut args).map(|v| cli.out = Some(v)),
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -200,6 +231,15 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Cli {
     }
     if cache_flag && no_cache_flag {
         usage_error("--cache and --no-cache are mutually exclusive");
+    }
+    match (cli.bench, &cli.out) {
+        (Some(0), _) => usage_error("--bench must be at least 1"),
+        (Some(_), None) => usage_error("--bench needs --out FILE"),
+        (None, Some(_)) => usage_error("--out needs --bench N"),
+        (Some(_), Some(_)) if !cache_flag && !no_cache_flag => {
+            usage_error("--bench needs an explicit --cache DIR or --no-cache")
+        }
+        _ => {}
     }
     if cli.ids.is_empty() {
         cli.ids = all_experiments().iter().map(|s| s.to_string()).collect();
@@ -229,23 +269,13 @@ fn main() {
         .trace
         .is_some()
         .then(|| Arc::new(TraceRecorder::default()));
-    let guard = {
-        let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
-        if let Some(rec) = &metrics_rec {
-            sinks.push(rec.clone());
-        }
-        if let Some(rec) = &trace_rec {
-            sinks.push(rec.clone());
-        }
-        match sinks.len() {
-            0 => None,
-            1 => Some(gwc_obs::install(sinks.pop().expect("one sink"))),
-            _ => Some(gwc_obs::install(Arc::new(TeeRecorder::new(sinks)))),
-        }
-    };
-    // The sampler observes the freshly installed recorder's counters;
-    // it must start after the install (and stop before the snapshot).
-    let sampler = telemetry::maybe_start_sampler("regen", &cli.telemetry, metrics_rec.as_ref());
+    let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
+    if let Some(rec) = &metrics_rec {
+        sinks.push(rec.clone());
+    }
+    if let Some(rec) = &trace_rec {
+        sinks.push(rec.clone());
+    }
     gwc_simt::backend::set_default(cli.backend);
     eprintln!(
         "running the characterization study (Small scale, seed 7, {} thread{}, cache {}, {} \
@@ -269,13 +299,38 @@ fn main() {
     config.study.study_scale = cli.scale;
     config.study.observer_tier = cli.tier;
     config.pair_policy = cli.policy;
-    let artifacts = StudyArtifacts::collect(&config);
     let ids: Vec<&str> = cli.ids.iter().map(String::as_str).collect();
-    print!("{}", render_experiments(&ids, &artifacts));
-    // Final sampler tick (and the stall counter it may bump) must land
-    // before the recorder uninstalls and the snapshot is taken.
-    let timeseries = sampler.map(Sampler::stop);
-    drop(guard);
+    let (text, timeseries) = match (cli.bench, &cli.out) {
+        (Some(iters), Some(out)) => bench(
+            &cli,
+            iters,
+            out,
+            &config,
+            &ids,
+            &sinks,
+            metrics_rec.as_ref(),
+        ),
+        _ => {
+            let guard = match sinks.len() {
+                0 => None,
+                1 => Some(gwc_obs::install(sinks[0].clone())),
+                _ => Some(gwc_obs::install(Arc::new(TeeRecorder::new(sinks)))),
+            };
+            // The sampler observes the freshly installed recorder's
+            // counters; it must start after the install (and stop
+            // before the snapshot).
+            let sampler =
+                telemetry::maybe_start_sampler("regen", &cli.telemetry, metrics_rec.as_ref());
+            let text = render_experiments(&ids, &StudyArtifacts::collect(&config));
+            // Final sampler tick (and the stall counter it may bump)
+            // must land before the recorder uninstalls and the snapshot
+            // is taken.
+            let timeseries = sampler.map(Sampler::stop);
+            drop(guard);
+            (text, timeseries)
+        }
+    };
+    print!("{text}");
     if let (Some(path), Some(trace_rec)) = (&cli.trace, &trace_rec) {
         telemetry::finish_trace("regen", path, trace_rec, metrics_rec.as_ref());
     }
@@ -298,14 +353,81 @@ fn main() {
         );
     }
     if let Some(path) = &cli.metrics {
+        let label = cli.out.as_deref().map_or("regen".to_string(), bench_label);
         telemetry::write_metrics_report(
             "regen",
             path,
             &snap,
             cli.threads,
             cli.ids.clone(),
-            telemetry::run_meta(cli.backend.name(), cli.cache.as_deref(), "regen"),
+            telemetry::run_meta(cli.backend.name(), cli.cache.as_deref(), &label),
             timeseries,
         );
     }
+}
+
+/// The bench report label for an output path: its file stem without a
+/// leading `BENCH_` (`out/BENCH_small.json` is `small`).
+fn bench_label(out: &str) -> String {
+    let stem = Path::new(out)
+        .file_stem()
+        .map_or(out.into(), |s| s.to_string_lossy());
+    stem.strip_prefix("BENCH_").unwrap_or(&stem).to_string()
+}
+
+/// `--bench`: runs the pipeline [`BENCH_WARMUP`] + `iters` times, each
+/// iteration under its own fresh metrics recorder with the run-long
+/// `sinks` tee'd in, and writes the bench report over the measured
+/// iterations to `out`. Returns the last iteration's rendered
+/// experiments and the sampler's time series.
+fn bench(
+    cli: &Cli,
+    iters: usize,
+    out: &str,
+    config: &PipelineConfig,
+    ids: &[&str],
+    sinks: &[Arc<dyn Recorder>],
+    metrics_rec: Option<&Arc<MetricsRecorder>>,
+) -> (String, Option<TimeSeries>) {
+    let sampler = telemetry::maybe_start_sampler("regen", &cli.telemetry, metrics_rec);
+    let mut text = String::new();
+    let mut samples = Vec::with_capacity(BENCH_WARMUP + iters);
+    for i in 0..BENCH_WARMUP + iters {
+        let (sample, rendered) = measure_iteration_config(ids, config, sinks);
+        let (what, n, of) = if i < BENCH_WARMUP {
+            ("warmup", i + 1, BENCH_WARMUP)
+        } else {
+            ("iter", i + 1 - BENCH_WARMUP, iters)
+        };
+        eprintln!("  {what} {n}/{of}: total {}", fmt_ns(sample.total_ns));
+        samples.push(sample);
+        text = rendered;
+    }
+    // Final tick (and any stall it detects) must land in the run-long
+    // recorder before its snapshot.
+    let timeseries = sampler.map(Sampler::stop);
+    let report = build_bench_report(
+        &BenchContext {
+            label: bench_label(out),
+            backend: cli.backend.name().to_string(),
+            threads: cli.threads,
+            warmup: BENCH_WARMUP,
+            iters,
+            experiment_ids: cli.ids.clone(),
+            scale: cli.scale.name().to_string(),
+            observer_tier: cli.tier.name().to_string(),
+            policy: cli.policy.name().to_string(),
+        },
+        &samples[BENCH_WARMUP..],
+    );
+    if let Err(e) = validate_bench(&report) {
+        eprintln!("regen: internal error: bench report failed validation: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = std::fs::write(out, report.render()) {
+        eprintln!("regen: cannot write bench report to `{out}`: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("bench report written to {out}");
+    (text, timeseries)
 }

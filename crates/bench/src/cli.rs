@@ -1,7 +1,7 @@
 //! Strict shared command-line parsing for the bench binaries.
 //!
-//! All four binaries in this crate (`regen`, `metrics_check`,
-//! `bench_run`, `bench_diff`) follow the same conventions: options may
+//! All three binaries in this crate (`regen`, `metrics_check`,
+//! `bench_diff`) follow the same conventions: options may
 //! be spelled `--flag value` or `--flag=value`, anything else that
 //! starts with `-` is rejected as an unknown option (never treated as a
 //! positional), and usage errors exit 2. Each binary used to hand-roll

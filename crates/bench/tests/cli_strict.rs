@@ -21,11 +21,24 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// All four binaries, each with an unknown option mixed into otherwise
-/// plausible arguments. None of these invocations may start real work.
+/// Flags that put `regen` into benchmark mode; prefixed to a case so the
+/// flag under test is parsed in that mode too.
+const BENCH_MODE: [&str; 5] = ["--bench", "1", "--no-cache", "--out", "never_written.json"];
+
+/// `args` as given, and the same args in benchmark mode.
+fn both_modes<'a>(args: &[&'a str]) -> [Vec<&'a str>; 2] {
+    [args.to_vec(), [&BENCH_MODE[..], args].concat()]
+}
+
+/// All three binaries (`regen` in both of its modes), each with an
+/// unknown option mixed into otherwise plausible arguments. None of
+/// these invocations may start real work.
 fn rejection_cases() -> Vec<(&'static str, Vec<&'static str>)> {
     vec![
-        (env!("CARGO_BIN_EXE_bench_run"), vec!["e1", "--bogus"]),
+        (
+            env!("CARGO_BIN_EXE_regen"),
+            [&BENCH_MODE[..], &["e1", "--bogus"]].concat(),
+        ),
         (
             env!("CARGO_BIN_EXE_bench_diff"),
             vec!["old.json", "new.json", "--bogus"],
@@ -64,7 +77,7 @@ fn unknown_options_exit_2_with_a_diagnostic() {
 #[test]
 fn single_dash_junk_is_an_option_not_a_positional() {
     // `-x=3` must not be treated as a file path or experiment id.
-    let out = run(env!("CARGO_BIN_EXE_bench_run"), &["-x=3"]);
+    let out = run(env!("CARGO_BIN_EXE_regen"), &["-x=3"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
     assert!(
         stderr_of(&out).contains("unknown option `-x=3`"),
@@ -96,14 +109,35 @@ fn help_exits_0_everywhere() {
 fn missing_and_malformed_values_exit_2() {
     let cases: Vec<(&str, Vec<&str>, &str)> = vec![
         (
-            env!("CARGO_BIN_EXE_bench_run"),
-            vec!["--iters"],
-            "--iters needs a value",
+            env!("CARGO_BIN_EXE_regen"),
+            vec!["--bench"],
+            "--bench needs a value",
         ),
         (
-            env!("CARGO_BIN_EXE_bench_run"),
-            vec!["--iters=zero"],
-            "--iters: `zero` is not a count",
+            env!("CARGO_BIN_EXE_regen"),
+            vec!["--bench=zero"],
+            "--bench: `zero` is not a count",
+        ),
+        (
+            env!("CARGO_BIN_EXE_regen"),
+            vec!["e1", "--bench", "0", "--no-cache", "--out", "x.json"],
+            "--bench must be at least 1",
+        ),
+        (
+            env!("CARGO_BIN_EXE_regen"),
+            vec!["e1", "--bench", "1", "--no-cache"],
+            "--bench needs --out FILE",
+        ),
+        (
+            env!("CARGO_BIN_EXE_regen"),
+            vec!["e1", "--out", "x.json"],
+            "--out needs --bench N",
+        ),
+        (
+            // No silent default: a bench report must say cold or warm.
+            env!("CARGO_BIN_EXE_regen"),
+            vec!["e1", "--bench", "1", "--out", "x.json"],
+            "--bench needs an explicit --cache DIR or --no-cache",
         ),
         (
             env!("CARGO_BIN_EXE_bench_diff"),
@@ -126,18 +160,19 @@ fn missing_and_malformed_values_exit_2() {
 
 #[test]
 fn invalid_backend_exits_2_without_starting_work() {
-    for bin in [env!("CARGO_BIN_EXE_bench_run"), env!("CARGO_BIN_EXE_regen")] {
-        for args in [
-            ["e1", "--backend", "cuda"].as_slice(),
-            ["e1", "--backend=avx512"].as_slice(),
-            ["e1", "--backend"].as_slice(),
-        ] {
-            let out = run(bin, args);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+    let bin = env!("CARGO_BIN_EXE_regen");
+    for case in [
+        ["e1", "--backend", "cuda"].as_slice(),
+        ["e1", "--backend=avx512"].as_slice(),
+        ["e1", "--backend"].as_slice(),
+    ] {
+        for args in both_modes(case) {
+            let out = run(bin, &args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
             let err = stderr_of(&out);
             assert!(
                 err.contains("backend") && err.contains("usage:"),
-                "{bin} {args:?}: stderr:\n{err}"
+                "{args:?}: stderr:\n{err}"
             );
         }
     }
@@ -157,9 +192,9 @@ fn bench_diff_flags_cross_backend_comparisons() {
             warmup: 0,
             iters: 1,
             experiment_ids: vec!["e1".into()],
-            scale: String::new(),
-            observer_tier: String::new(),
-            policy: String::new(),
+            scale: "standard".into(),
+            observer_tier: "exact".into(),
+            policy: "round-robin".into(),
         };
         let sample = gwc_bench::perf::BenchSample {
             total_ns: 5_000_000,
@@ -247,9 +282,9 @@ fn bench_diff_attribute_names_the_offending_kernel_and_uop_class() {
             warmup: 0,
             iters: 1,
             experiment_ids: vec!["e1".into()],
-            scale: String::new(),
-            observer_tier: String::new(),
-            policy: String::new(),
+            scale: "standard".into(),
+            observer_tier: "exact".into(),
+            policy: "round-robin".into(),
         };
         build_bench_report(&ctx, &[sample])
     };
@@ -283,34 +318,6 @@ fn bench_diff_attribute_names_the_offending_kernel_and_uop_class() {
         "unchanged kernel ranks below:\n{stdout}"
     );
 
-    // A v1 baseline (no kernels section) degrades to a note, not a
-    // failure.
-    let doc = report(false);
-    let gwc_obs::json::Json::Obj(mut fields) = doc else {
-        unreachable!()
-    };
-    fields.retain(|(k, _)| k != "kernels");
-    for f in &mut fields {
-        if f.0 == "bench_schema_version" {
-            f.1 = gwc_obs::json::Json::UInt(1);
-        }
-    }
-    std::fs::write(&old, gwc_obs::json::Json::Obj(fields).render()).expect("rewrite baseline");
-    let out = run(
-        env!("CARGO_BIN_EXE_bench_diff"),
-        &[
-            old.to_str().unwrap(),
-            new.to_str().unwrap(),
-            "--attribute",
-            "--warn-only",
-        ],
-    );
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    assert!(
-        stderr_of(&out).contains("cannot attribute"),
-        "{}",
-        stderr_of(&out)
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -330,18 +337,19 @@ fn regen_list_prints_every_experiment_and_exits_0() {
 
 #[test]
 fn invalid_policy_exits_2_without_starting_work() {
-    for bin in [env!("CARGO_BIN_EXE_bench_run"), env!("CARGO_BIN_EXE_regen")] {
-        for args in [
-            ["e1", "--policy", "bogus"].as_slice(),
-            ["e1", "--policy=greedy"].as_slice(),
-            ["e1", "--policy"].as_slice(),
-        ] {
-            let out = run(bin, args);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+    let bin = env!("CARGO_BIN_EXE_regen");
+    for case in [
+        ["e1", "--policy", "bogus"].as_slice(),
+        ["e1", "--policy=greedy"].as_slice(),
+        ["e1", "--policy"].as_slice(),
+    ] {
+        for args in both_modes(case) {
+            let out = run(bin, &args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
             let err = stderr_of(&out);
             assert!(
                 err.contains("policy") && err.contains("usage:"),
-                "{bin} {args:?}: stderr:\n{err}"
+                "{args:?}: stderr:\n{err}"
             );
         }
     }
@@ -349,12 +357,12 @@ fn invalid_policy_exits_2_without_starting_work() {
 
 #[test]
 fn cache_and_no_cache_conflict_exits_2() {
-    for bin in [env!("CARGO_BIN_EXE_regen"), env!("CARGO_BIN_EXE_bench_run")] {
-        let out = run(bin, &["e1", "--cache", "dir", "--no-cache"]);
-        assert_eq!(out.status.code(), Some(2), "{bin}: {}", stderr_of(&out));
+    for args in both_modes(&["e1", "--cache", "dir", "--no-cache"]) {
+        let out = run(env!("CARGO_BIN_EXE_regen"), &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
         assert!(
             stderr_of(&out).contains("--cache and --no-cache are mutually exclusive"),
-            "{bin}: {}",
+            "{args:?}: {}",
             stderr_of(&out)
         );
     }
@@ -381,25 +389,8 @@ fn metrics_check_counter_assertions_parse_strictly() {
         (vec!["m.json", "--hist"], "--hist needs a value"),
         (vec!["--hist=", "m.json"], "empty histogram name"),
         (
-            vec!["--hist=lat:p98<=5", "m.json"],
-            "`p98` is not a quantile",
-        ),
-        (
-            vec!["--hist=lat:p99<5", "m.json"],
-            "not a quantile bound (expected Q<=NANOS)",
-        ),
-        (
-            vec!["--hist=lat:p99<=fast", "m.json"],
-            "`fast` is not an unsigned nanosecond count",
-        ),
-        (vec!["--hist=:p99<=5", "m.json"], "empty histogram name"),
-        (
             vec!["--min-ticks", "2", "m.json"],
             "--min-ticks requires --heartbeat",
-        ),
-        (
-            vec!["--schema", "v9", "m.json"],
-            "not a known version (v1, v2, v3, v4)",
         ),
     ];
     for (args, want) in cases {
@@ -414,39 +405,32 @@ fn metrics_check_counter_assertions_parse_strictly() {
 }
 
 #[test]
-fn telemetry_flags_parse_strictly_on_both_run_binaries() {
-    for bin in [env!("CARGO_BIN_EXE_regen"), env!("CARGO_BIN_EXE_bench_run")] {
-        let cases: Vec<(Vec<&str>, &str)> = vec![
-            (vec!["e1", "--heartbeat"], "--heartbeat needs a value"),
-            (
-                vec!["e1", "--heartbeat-interval-ms=0"],
-                "interval must be positive",
-            ),
-            (
-                vec!["e1", "--heartbeat-interval-ms=soon"],
-                "`soon` is not a count",
-            ),
-            (vec!["e1", "--stall-after=-1"], "is not a count"),
-        ];
-        for (args, want) in cases {
-            let out = run(bin, &args);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+fn telemetry_flags_parse_strictly_in_both_run_modes() {
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["e1", "--heartbeat"], "--heartbeat needs a value"),
+        (
+            vec!["e1", "--heartbeat-interval-ms=0"],
+            "interval must be positive",
+        ),
+        (
+            vec!["e1", "--heartbeat-interval-ms=soon"],
+            "`soon` is not a count",
+        ),
+        (vec!["e1", "--stall-after=-1"], "is not a count"),
+        // The report sinks parse the same with and without --bench.
+        (vec!["e1", "--metrics"], "--metrics needs a value"),
+        (vec!["e1", "--trace"], "--trace needs a value"),
+    ];
+    for (case, want) in cases {
+        for args in both_modes(&case) {
+            let out = run(env!("CARGO_BIN_EXE_regen"), &args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
             assert!(
                 stderr_of(&out).contains(want),
-                "{bin} {args:?}: stderr:\n{}",
+                "{args:?}: stderr:\n{}",
                 stderr_of(&out)
             );
         }
-    }
-    // bench_run's report sinks parse like regen's.
-    for flag in ["--metrics", "--trace"] {
-        let out = run(env!("CARGO_BIN_EXE_bench_run"), &["e1", flag]);
-        assert_eq!(out.status.code(), Some(2), "{flag}: {}", stderr_of(&out));
-        assert!(
-            stderr_of(&out).contains(&format!("{flag} needs a value")),
-            "{flag}: {}",
-            stderr_of(&out)
-        );
     }
 }
 

@@ -239,7 +239,7 @@ pub trait Stage {
     /// # Panics
     ///
     /// Stages panic on failure: the pipeline feeds batch tools
-    /// (`regen`, `bench_run`, the examples) for which a failed stage has
+    /// (`regen` and the examples) for which a failed stage has
     /// nothing to print, and the canonical configuration is covered by
     /// the test suite.
     fn run(cfg: &PipelineConfig, input: Self::Input<'_>) -> Self::Output;

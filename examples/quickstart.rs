@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         profile.stats().thread_instrs
     );
 
-    // The same staged pipeline the study tools (`regen`, `bench_run`)
+    // The same staged pipeline `regen` (plain and `--bench`)
     // drive, here at Tiny scale so the demo finishes in seconds:
     // study -> matrix -> reduce -> cluster.
     println!("\nrunning the full pipeline at Tiny scale...");
