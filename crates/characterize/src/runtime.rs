@@ -4,13 +4,17 @@
 //!
 //! # How a sharded launch runs
 //!
-//! 1. The master [`Profiler`] sees `on_launch` (launch shape, ILP fold).
-//! 2. The grid's blocks are split into ≤ `threads` contiguous ranges;
+//! 1. The grid's blocks are split into ≤ `threads` contiguous ranges;
 //!    each range executes on a [`Device::fork`] with its own copy of
 //!    global memory, streaming into a fresh [`Profiler::shard`].
-//! 3. In ascending block order, each shard is folded into the master
-//!    ([`MergeableObserver::merge`]), its stats summed, and its global
-//!    writes absorbed ([`Device::absorb_writes`]).
+//! 2. If any shard failed, or the shards' warp instructions summed in
+//!    block order pass the device's instruction budget, nothing is
+//!    absorbed: the launch is replayed serially instead, so its outcome
+//!    is the serial run's by construction.
+//! 3. Otherwise the master [`Profiler`] sees `on_launch` (launch shape,
+//!    ILP fold), and in ascending block order each shard is folded into
+//!    it ([`MergeableObserver::merge`]), its stats summed, and its
+//!    global writes absorbed ([`Device::absorb_writes`]).
 //! 4. The master sees `on_launch_end` with the summed stats — exactly
 //!    the stats the serial launch reports.
 //!
@@ -47,16 +51,10 @@ const MIN_BLOCKS_PER_SHARD: usize = 2;
 ///
 /// # Errors
 ///
-/// Propagates any [`SimtError`]; with several failing shards, the error
-/// of the lowest block range wins (the one serial execution would have
-/// hit first). The device's instruction budget applies per launch, as
-/// on the serial path: the shards' warp instructions are summed in block
-/// order, and the launch fails with
-/// [`SimtError::InstructionBudgetExceeded`] at the first shard whose
-/// running total passes it. One case is not serial-equivalent: a shard
-/// that faults after the running total passed the budget inside that
-/// same shard reports its fault, where the serial run would have
-/// stopped at the budget first.
+/// Returns exactly the [`SimtError`] the serial launch returns: a launch
+/// whose shards fail or together pass the instruction budget is replayed
+/// serially on the untouched device, and the replay's result is
+/// returned.
 pub fn profile_launch_sharded(
     device: &mut Device,
     kernel: &Kernel,
@@ -84,11 +82,6 @@ pub fn profile_launch_sharded(
 
     config.validate()?;
     kernel.check_args(args)?;
-    profiler.on_launch(kernel, config);
-    // Every launch counts its backend exactly once: serial launches in
-    // `launch_observed`, sharded launches here (shards inherit the
-    // backend through `fork`, so one launch = one engine).
-    gwc_obs::count(device.backend().counter_name(), 1);
 
     // One relaxed load + branch when no recorder is installed.
     let launch_t0 = gwc_obs::enabled().then(std::time::Instant::now);
@@ -125,19 +118,30 @@ pub fn profile_launch_sharded(
             .collect()
     });
 
+    // Each shard ran with the whole budget and cannot know where the
+    // serial run would have stopped, so any failure or overrun is settled
+    // by replaying serially; the device still holds the base image.
     let budget = device.limits().instr_budget;
+    let outputs = match results.into_iter().collect::<Result<Vec<_>, _>>() {
+        Ok(outputs) if outputs.iter().map(|(_, _, s)| s.warp_instrs).sum::<u64>() <= budget => {
+            outputs
+        }
+        _ => return device.launch_observed(kernel, config, args, profiler),
+    };
+
+    profiler.on_launch(kernel, config);
+    // Every launch counts its backend exactly once: serial launches in
+    // `launch_observed`, sharded launches here (shards inherit the
+    // backend through `fork`, so one launch = one engine).
+    gwc_obs::count(device.backend().counter_name(), 1);
     let mut total = LaunchStats::default();
     // Exec profiles merge exactly like the shard observers: elementwise,
     // in ascending block order (the merge is commutative anyway).
     let mut exec_total: Option<gwc_simt::profile::ExecProfile> = None;
     {
         let _merge = gwc_obs::span!("shard/merge");
-        for result in results {
+        for (mut shard_dev, shard, stats) in outputs {
             let t0 = gwc_obs::enabled().then(std::time::Instant::now);
-            let (mut shard_dev, shard, stats) = result?;
-            if total.warp_instrs + stats.warp_instrs > budget {
-                return Err(SimtError::InstructionBudgetExceeded { budget });
-            }
             profiler.merge(shard);
             merge_stats(&mut total, &stats);
             if let Some(shard_exec) = shard_dev.take_exec_profile() {
@@ -450,6 +454,59 @@ mod tests {
         for threads in [1, 2, 4] {
             assert_eq!(
                 run(threads, Some(limits)).unwrap_err(),
+                SimtError::InstructionBudgetExceeded { budget },
+                "{threads} threads"
+            );
+        }
+    }
+
+    /// A shard that faults after the serial run would already have run
+    /// out of budget reports the budget, not its fault: block 3 divides
+    /// by zero after its loop, and the budget is only passed inside
+    /// blocks 2–3 once the instructions of blocks 0–1 count too.
+    #[test]
+    fn budget_overrun_before_a_later_fault_wins_at_any_thread_count() {
+        use gwc_simt::exec::DeviceLimits;
+
+        let mut b = KernelBuilder::new("spin_then_divide");
+        let out = b.param_u32("out");
+        let i = b.global_tid_x();
+        let acc = b.var_u32(i);
+        b.for_range_u32(Value::U32(0), Value::U32(64), 1, |b, j| {
+            let n = b.add_u32(acc, j);
+            b.assign(acc, n);
+        });
+        // 3 - ctaid.x: non-zero in blocks 0–2, zero in block 3.
+        let d = b.sub_u32(Value::U32(3), b.ctaid_x());
+        let q = b.div_u32(acc, d);
+        let oi = b.index(out, i, 4);
+        b.st_global_u32(oi, q);
+        let k = b.build().unwrap();
+        assert!(k.is_block_shardable());
+        let run = |blocks: u32, threads: usize, limits: Option<DeviceLimits>| {
+            let mut dev = Device::new();
+            if let Some(limits) = limits {
+                dev.set_limits(limits);
+            }
+            let out = dev.alloc_zeroed_u32(4 * 32);
+            let config = LaunchConfig::new(blocks, 32);
+            characterize_launch_sharded(&mut dev, &k, &config, &[out.arg()], threads)
+        };
+        // Without a tight budget block 3's division faults.
+        assert!(matches!(
+            run(4, 1, None).unwrap_err(),
+            SimtError::DivideByZero { .. }
+        ));
+        // One full block; blocks 2–3 alone stay under 2.5 blocks, the
+        // serial run passes it inside block 2.
+        let block = run(1, 1, None).unwrap().stats().warp_instrs;
+        let budget = block * 5 / 2;
+        let limits = DeviceLimits {
+            instr_budget: budget,
+        };
+        for threads in [1, 2] {
+            assert_eq!(
+                run(4, threads, Some(limits)).unwrap_err(),
                 SimtError::InstructionBudgetExceeded { budget },
                 "{threads} threads"
             );

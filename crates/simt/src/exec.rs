@@ -98,7 +98,6 @@ pub struct Device {
     const_mem: Vec<u8>,
     limits: DeviceLimits,
     backend: BackendKind,
-    fusion: bool,
     /// `Some(_)` forces execution-cost profiling on/off; `None` profiles
     /// exactly when a recorder is installed.
     exec_profiling: Option<bool>,
@@ -125,15 +124,13 @@ impl Device {
     }
 
     /// Creates a device pinned to a specific execution backend
-    /// (ignoring the process default). Fusion still follows
-    /// `GWC_FUSION`.
+    /// (ignoring the process default).
     pub fn with_backend(backend: BackendKind) -> Self {
         Self {
             global: Vec::new(),
             const_mem: Vec::new(),
             limits: DeviceLimits::default(),
             backend,
-            fusion: crate::backend::fusion_from_env(),
             exec_profiling: None,
             last_exec: None,
         }
@@ -157,17 +154,6 @@ impl Device {
     /// The warp execution backend this device launches with.
     pub fn backend(&self) -> BackendKind {
         self.backend
-    }
-
-    /// Enables/disables superinstruction fusion (SIMD backend only; the
-    /// scalar reference always executes the unfused stream).
-    pub fn set_fusion(&mut self, fusion: bool) {
-        self.fusion = fusion;
-    }
-
-    /// Whether the SIMD backend executes the decode-time fusion table.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fusion
     }
 
     /// Overrides execution-cost profiling for subsequent launches:
@@ -562,7 +548,6 @@ impl Device {
                 global: &mut self.global,
                 const_mem: &self.const_mem,
                 budget: self.limits.instr_budget,
-                fusion: self.fusion,
                 stats: &mut m.stats,
                 exec: m.exec.as_mut(),
             };
@@ -574,18 +559,16 @@ impl Device {
         Ok(())
     }
 
-    /// Clones the device — global and constant memory plus limits,
-    /// backend and fusion setting — so a shard can execute a block range
-    /// against its own copy of global memory while other shards run
-    /// concurrently. A sharded launch therefore uses one engine
-    /// throughout.
+    /// Clones the device — global and constant memory plus limits and
+    /// backend — so a shard can execute a block range against its own
+    /// copy of global memory while other shards run concurrently. A
+    /// sharded launch therefore uses one engine throughout.
     pub fn fork(&self) -> Device {
         Device {
             global: self.global.clone(),
             const_mem: self.const_mem.clone(),
             limits: self.limits,
             backend: self.backend,
-            fusion: self.fusion,
             exec_profiling: self.exec_profiling,
             last_exec: None,
         }
@@ -740,8 +723,6 @@ pub struct LaunchCtx<'a> {
     pub(crate) global: &'a mut Vec<u8>,
     pub(crate) const_mem: &'a [u8],
     pub(crate) budget: u64,
-    /// Whether the SIMD backend executes the fusion table.
-    pub(crate) fusion: bool,
     pub(crate) stats: &'a mut LaunchStats,
     /// Execution-cost profile to bump per retired µop, when collecting.
     pub(crate) exec: Option<&'a mut ExecProfile>,
@@ -848,29 +829,10 @@ impl LaunchCtx<'_> {
                 continue;
             }
 
-            self.stats.warp_instrs += 1;
-            if self.stats.warp_instrs > self.budget {
-                return Err(SimtError::InstructionBudgetExceeded {
-                    budget: self.budget,
-                });
-            }
             let pc = top.pc;
             let mask = top.mask;
-            self.stats.thread_instrs += mask.count_ones() as u64;
-            if let Some(exec) = self.exec.as_deref_mut() {
-                exec.bump(pc, dec.class(pc), mask);
-            }
-
-            observer.on_instr(&InstrEvent {
-                block,
-                warp: warp.id,
-                pc,
-                class: dec.class(pc),
-                active: mask,
-                live: warp.live,
-                dst: dec.dst(pc),
-                srcs: dec.srcs(pc),
-            });
+            self.retire(pc, mask)?;
+            self.observe_instr(observer, block, warp, pc, mask);
 
             match uops[pc] {
                 Uop::Bin { kind, dst, a, b } => {
@@ -1081,32 +1043,7 @@ impl LaunchCtx<'_> {
                         active: mask,
                         taken,
                     });
-                    if taken == 0 {
-                        advance(warp);
-                    } else if taken == mask {
-                        warp.stack.last_mut().expect("non-empty").pc = target as usize;
-                    } else {
-                        let rpc = rpc as usize;
-                        let old = warp.stack.pop().expect("non-empty");
-                        // Continuation at the reconvergence point.
-                        warp.stack.push(StackEntry {
-                            pc: rpc,
-                            rpc: old.rpc,
-                            mask: old.mask,
-                        });
-                        // Not-taken path.
-                        warp.stack.push(StackEntry {
-                            pc: pc + 1,
-                            rpc,
-                            mask: mask & !taken,
-                        });
-                        // Taken path (runs first).
-                        warp.stack.push(StackEntry {
-                            pc: target as usize,
-                            rpc,
-                            mask: taken,
-                        });
-                    }
+                    branch(warp, pc, mask, taken, target, rpc);
                 }
                 Uop::Ret => {
                     let exiting = mask;
@@ -1117,6 +1054,46 @@ impl LaunchCtx<'_> {
                 }
             }
         }
+    }
+
+    /// Warp-instruction accounting at the top of every step, shared by
+    /// both engines: bump, enforce the budget, add active lanes, bump
+    /// the exec profile.
+    #[inline]
+    pub(crate) fn retire(&mut self, pc: usize, mask: u32) -> Result<(), SimtError> {
+        self.stats.warp_instrs += 1;
+        if self.stats.warp_instrs > self.budget {
+            return Err(SimtError::InstructionBudgetExceeded {
+                budget: self.budget,
+            });
+        }
+        self.stats.thread_instrs += mask.count_ones() as u64;
+        if let Some(exec) = self.exec.as_deref_mut() {
+            exec.bump(pc, self.dec.class(pc), mask);
+        }
+        Ok(())
+    }
+
+    /// Emits the per-pc instruction event.
+    #[inline]
+    pub(crate) fn observe_instr<O: TraceObserver + ?Sized>(
+        &self,
+        observer: &mut O,
+        block: u32,
+        warp: &Warp,
+        pc: usize,
+        mask: u32,
+    ) {
+        observer.on_instr(&InstrEvent {
+            block,
+            warp: warp.id,
+            pc,
+            class: self.dec.class(pc),
+            active: mask,
+            live: warp.live,
+            dst: self.dec.dst(pc),
+            srcs: self.dec.srcs(pc),
+        });
     }
 
     pub(crate) fn gather_addrs(
@@ -1176,6 +1153,39 @@ pub(crate) fn lanes(mask: u32) -> impl Iterator<Item = usize> {
 
 pub(crate) fn advance(warp: &mut Warp) {
     warp.stack.last_mut().expect("non-empty").pc += 1;
+}
+
+/// Applies a resolved branch at `pc` to the reconvergence stack: uniform
+/// outcomes move the top entry, a divergent one splits it into the
+/// continuation, the not-taken path and the taken path (which runs
+/// first).
+pub(crate) fn branch(warp: &mut Warp, pc: usize, mask: u32, taken: u32, target: u32, rpc: u32) {
+    if taken == 0 {
+        advance(warp);
+    } else if taken == mask {
+        warp.stack.last_mut().expect("non-empty").pc = target as usize;
+    } else {
+        let rpc = rpc as usize;
+        let old = warp.stack.pop().expect("non-empty");
+        // Continuation at the reconvergence point.
+        warp.stack.push(StackEntry {
+            pc: rpc,
+            rpc: old.rpc,
+            mask: old.mask,
+        });
+        // Not-taken path.
+        warp.stack.push(StackEntry {
+            pc: pc + 1,
+            rpc,
+            mask: mask & !taken,
+        });
+        // Taken path (runs first).
+        warp.stack.push(StackEntry {
+            pc: target as usize,
+            rpc,
+            mask: taken,
+        });
+    }
 }
 
 #[inline]

@@ -20,8 +20,7 @@
 //!   the branch-reconvergence table derived from a post-dominator analysis
 //!   ([`cfg`]).
 //! * [`decode`] — the predecoded µop stream: the flat, type-monomorphized
-//!   form the interpreter executes, decoded once per kernel and cached,
-//!   plus a superinstruction-fusion side table for hot adjacent pairs.
+//!   form both warp engines execute, decoded once per kernel and cached.
 //! * [`exec`] — the [`exec::Device`]: global/const memory, kernel launch,
 //!   warp scheduling, the SIMT reconvergence stack, barriers and atomics.
 //! * [`backend`] — runtime-selectable warp engines: the scalar reference

@@ -169,19 +169,20 @@ impl Matrix {
         self.col(c).iter().sum::<f64>() / self.rows as f64
     }
 
-    /// Population standard deviation of column `c`.
+    /// Population standard deviation of column `c`. A constant column
+    /// has a standard deviation of exactly zero, even when its mean
+    /// rounds away from its value.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of bounds or the matrix has zero rows.
     pub fn col_std(&self, c: usize) -> f64 {
         let mean = self.col_mean(c);
-        let var = self
-            .col(c)
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / self.rows as f64;
+        let col = self.col(c);
+        if col.iter().all(|&v| v == col[0]) {
+            return 0.0;
+        }
+        let var = col.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / self.rows as f64;
         var.sqrt()
     }
 
