@@ -1,36 +1,19 @@
-//! Branch-divergence observer.
+//! Branch-divergence view of the engine's divergence counters.
 
-use gwc_simt::trace::{BranchEvent, InstrEvent, TraceObserver};
+use gwc_simt::trace::{LaunchStats, TraceObserver};
 use gwc_simt::WARP_SIZE;
 
-use crate::merge::MergeableObserver;
-
-/// Streams branch outcomes and warp activity into divergence metrics.
+/// Branch-divergence and SIMD-activity metrics.
 ///
-/// Activity is accumulated in integer domain — active lanes bucketed by
-/// live-lane count — so that shard merges are exact: the mean activity is
-/// only converted to floating point at read time, in a fixed order.
-#[derive(Debug, Clone)]
+/// The engine counts branches, divergent branches, diverged issues and
+/// active lanes bucketed by live-lane count as it runs
+/// ([`LaunchStats`]); this observer only folds the stats of every launch
+/// it sees. The counters are integers, so shard and launch sums are
+/// exact: the mean activity is only converted to floating point at read
+/// time, in a fixed order.
+#[derive(Debug, Clone, Default)]
 pub struct DivergenceObserver {
-    warp_instrs: u64,
-    diverged_warp_instrs: u64,
-    /// `active_by_live[m]` sums active-lane counts over warp instructions
-    /// issued with exactly `m` live lanes (index 0 unused).
-    active_by_live: [u64; WARP_SIZE + 1],
-    branches: u64,
-    divergent_branches: u64,
-}
-
-impl Default for DivergenceObserver {
-    fn default() -> Self {
-        Self {
-            warp_instrs: 0,
-            diverged_warp_instrs: 0,
-            active_by_live: [0; WARP_SIZE + 1],
-            branches: 0,
-            divergent_branches: 0,
-        }
-    }
+    stats: LaunchStats,
 }
 
 impl DivergenceObserver {
@@ -39,116 +22,83 @@ impl DivergenceObserver {
         Self::default()
     }
 
+    /// The divergence metrics of already-accumulated launch statistics.
+    pub fn from_stats(stats: LaunchStats) -> Self {
+        Self { stats }
+    }
+
     /// Conditional branches per warp instruction.
     pub fn branch_density(&self) -> f64 {
-        if self.warp_instrs == 0 {
+        let s = &self.stats;
+        if s.warp_instrs == 0 {
             0.0
         } else {
-            self.branches as f64 / self.warp_instrs as f64
+            s.branches as f64 / s.warp_instrs as f64
         }
     }
 
     /// Fraction of dynamic branches that split their warp.
     pub fn divergent_branch_frac(&self) -> f64 {
-        if self.branches == 0 {
+        let s = &self.stats;
+        if s.branches == 0 {
             0.0
         } else {
-            self.divergent_branches as f64 / self.branches as f64
+            s.divergent_branches as f64 / s.branches as f64
         }
     }
 
     /// Mean `active / live` lane ratio over warp instructions
     /// (1.0 = never diverged).
     pub fn simd_activity(&self) -> f64 {
-        if self.warp_instrs == 0 {
+        let s = &self.stats;
+        if s.warp_instrs == 0 {
             return 0.0;
         }
         let activity_sum: f64 = (1..=WARP_SIZE)
-            .map(|m| self.active_by_live[m] as f64 / m as f64)
+            .map(|m| s.active_by_live[m] as f64 / m as f64)
             .sum();
-        activity_sum / self.warp_instrs as f64
+        activity_sum / s.warp_instrs as f64
     }
 
     /// Fraction of warp instructions issued with a diverged mask.
     pub fn diverged_instr_frac(&self) -> f64 {
-        if self.warp_instrs == 0 {
+        let s = &self.stats;
+        if s.warp_instrs == 0 {
             0.0
         } else {
-            self.diverged_warp_instrs as f64 / self.warp_instrs as f64
+            s.diverged_warp_instrs as f64 / s.warp_instrs as f64
         }
-    }
-
-    /// Total dynamic conditional branches observed.
-    pub fn branches(&self) -> u64 {
-        self.branches
     }
 }
 
 impl TraceObserver for DivergenceObserver {
-    fn on_instr(&mut self, e: &InstrEvent<'_>) {
-        self.warp_instrs += 1;
-        let live = e.live.count_ones().max(1);
-        self.active_by_live[live as usize] += e.active_lanes() as u64;
-        if e.active != e.live {
-            self.diverged_warp_instrs += 1;
-        }
-    }
-
-    fn on_branch(&mut self, e: &BranchEvent) {
-        self.branches += 1;
-        if e.divergent() {
-            self.divergent_branches += 1;
-        }
-    }
-}
-
-impl MergeableObserver for DivergenceObserver {
-    fn merge(&mut self, later: Self) {
-        self.warp_instrs += later.warp_instrs;
-        self.diverged_warp_instrs += later.diverged_warp_instrs;
-        for (a, b) in self.active_by_live.iter_mut().zip(later.active_by_live) {
-            *a += b;
-        }
-        self.branches += later.branches;
-        self.divergent_branches += later.divergent_branches;
+    fn on_launch_end(&mut self, stats: &LaunchStats) {
+        self.stats.add(stats);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gwc_simt::instr::InstrClass;
 
-    fn instr(active: u32, live: u32) -> InstrEvent<'static> {
-        InstrEvent {
-            block: 0,
-            warp: 0,
-            pc: 0,
-            class: InstrClass::IntAlu,
-            active,
-            live,
-            dst: None,
-            srcs: &[],
-        }
-    }
-
-    fn branch(active: u32, taken: u32) -> BranchEvent {
-        BranchEvent {
-            block: 0,
-            warp: 0,
-            pc: 0,
-            active,
-            taken,
-        }
+    /// Stats of `n` warp instructions issued with `active` of `live`
+    /// lanes, plus `branches` of which `divergent` split the warp.
+    fn stats(n: u64, active: u32, live: u32, branches: u64, divergent: u64) -> LaunchStats {
+        let mut s = LaunchStats {
+            warp_instrs: n,
+            branches,
+            divergent_branches: divergent,
+            ..LaunchStats::default()
+        };
+        s.active_by_live[live as usize] = n * active as u64;
+        s.diverged_warp_instrs = if active != live { n } else { 0 };
+        s
     }
 
     #[test]
     fn fully_converged_kernel() {
         let mut d = DivergenceObserver::new();
-        for _ in 0..10 {
-            d.on_instr(&instr(u32::MAX, u32::MAX));
-        }
-        d.on_branch(&branch(u32::MAX, u32::MAX));
+        d.on_launch_end(&stats(10, 32, 32, 1, 0));
         assert_eq!(d.simd_activity(), 1.0);
         assert_eq!(d.divergent_branch_frac(), 0.0);
         assert_eq!(d.diverged_instr_frac(), 0.0);
@@ -158,28 +108,24 @@ mod tests {
     #[test]
     fn half_diverged_activity() {
         let mut d = DivergenceObserver::new();
-        d.on_instr(&instr(u32::MAX, u32::MAX));
-        d.on_instr(&instr(0xFFFF, u32::MAX));
+        d.on_launch_end(&stats(1, 32, 32, 0, 0));
+        d.on_launch_end(&stats(1, 16, 32, 0, 0));
         assert!((d.simd_activity() - 0.75).abs() < 1e-12);
         assert!((d.diverged_instr_frac() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn partial_warp_is_not_divergence() {
-        // A 16-thread block: live = 0xFFFF; all alive lanes active.
-        let mut d = DivergenceObserver::new();
-        d.on_instr(&instr(0xFFFF, 0xFFFF));
+        // A 16-thread block: 16 live lanes, all of them active.
+        let d = DivergenceObserver::from_stats(stats(1, 16, 16, 0, 0));
         assert_eq!(d.simd_activity(), 1.0);
         assert_eq!(d.diverged_instr_frac(), 0.0);
     }
 
     #[test]
     fn divergent_branch_counted() {
-        let mut d = DivergenceObserver::new();
-        d.on_branch(&branch(0b1111, 0b0011));
-        d.on_branch(&branch(0b1111, 0b1111));
+        let d = DivergenceObserver::from_stats(stats(2, 4, 4, 2, 1));
         assert!((d.divergent_branch_frac() - 0.5).abs() < 1e-12);
-        assert_eq!(d.branches(), 2);
     }
 
     #[test]

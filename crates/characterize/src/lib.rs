@@ -7,8 +7,10 @@
 //! behaviour, shared-memory bank behaviour, temporal locality, data
 //! sharing, synchronization intensity, and kernel-launch shape.
 //!
-//! Everything is computed by streaming [`gwc_simt::trace`] events through
-//! [`Profiler`]; no full trace is ever stored. The canonical 33-dimension
+//! Instruction mix and divergence are folds of the counters the warp
+//! engines keep in [`gwc_simt::trace::LaunchStats`]; everything else is
+//! computed by streaming [`gwc_simt::trace`] events through [`Profiler`].
+//! No full trace is ever stored. The canonical 33-dimension
 //! vector layout lives in [`schema`], and [`characterize_launch`] is the
 //! one-call entry point.
 //!

@@ -10,7 +10,7 @@
 //! (exact, associative) and only converted to floating point at read
 //! time, in a fixed order.
 
-use gwc_simt::trace::{LaunchStats, TraceObserver};
+use gwc_simt::trace::TraceObserver;
 
 /// An observer whose per-shard state can be reduced in block order.
 ///
@@ -26,15 +26,4 @@ use gwc_simt::trace::{LaunchStats, TraceObserver};
 pub trait MergeableObserver: TraceObserver {
     /// Absorbs `later`, whose events all follow `self`'s in block order.
     fn merge(&mut self, later: Self);
-}
-
-/// Field-wise sum of per-shard launch statistics; with shard stats
-/// produced by disjoint block ranges of one launch, the sum equals the
-/// serial launch's stats exactly.
-pub fn merge_stats(total: &mut LaunchStats, shard: &LaunchStats) {
-    total.warp_instrs += shard.warp_instrs;
-    total.thread_instrs += shard.thread_instrs;
-    total.blocks += shard.blocks;
-    total.warps += shard.warps;
-    total.barriers += shard.barriers;
 }

@@ -1,13 +1,17 @@
-//! Instruction-mix observer.
+//! Instruction-mix view of the engine's per-class lane counters.
 
 use gwc_simt::instr::InstrClass;
-use gwc_simt::trace::{InstrEvent, TraceObserver};
+use gwc_simt::trace::{LaunchStats, TraceObserver};
 
-/// Streams thread-level instruction counts per [`InstrClass`].
+/// Thread-level instruction counts per [`InstrClass`].
+///
+/// The engine counts active lanes per class as it retires each warp
+/// instruction ([`LaunchStats::lanes_by_class`]); this observer only
+/// folds the stats of every launch it sees, so it costs nothing per
+/// event.
 #[derive(Debug, Clone, Default)]
 pub struct MixObserver {
-    counts: [u64; InstrClass::ALL.len()],
-    total: u64,
+    stats: LaunchStats,
 }
 
 impl MixObserver {
@@ -16,47 +20,34 @@ impl MixObserver {
         Self::default()
     }
 
-    fn slot(class: InstrClass) -> usize {
-        InstrClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("class in ALL")
+    /// The mix of already-accumulated launch statistics.
+    pub fn from_stats(stats: LaunchStats) -> Self {
+        Self { stats }
     }
 
     /// Thread-level instruction count for `class`.
     pub fn count(&self, class: InstrClass) -> u64 {
-        self.counts[Self::slot(class)]
+        self.stats.lanes_by_class[class as usize]
     }
 
     /// Total thread-level instructions observed.
     pub fn total(&self) -> u64 {
-        self.total
+        self.stats.thread_instrs
     }
 
     /// Fraction of thread-level instructions in `class` (0 when empty).
     pub fn fraction(&self, class: InstrClass) -> f64 {
-        if self.total == 0 {
+        if self.total() == 0 {
             0.0
         } else {
-            self.count(class) as f64 / self.total as f64
+            self.count(class) as f64 / self.total() as f64
         }
     }
 }
 
 impl TraceObserver for MixObserver {
-    fn on_instr(&mut self, e: &InstrEvent<'_>) {
-        let lanes = e.active_lanes() as u64;
-        self.counts[Self::slot(e.class)] += lanes;
-        self.total += lanes;
-    }
-}
-
-impl crate::merge::MergeableObserver for MixObserver {
-    fn merge(&mut self, later: Self) {
-        for (a, b) in self.counts.iter_mut().zip(later.counts) {
-            *a += b;
-        }
-        self.total += later.total;
+    fn on_launch_end(&mut self, stats: &LaunchStats) {
+        self.stats.add(stats);
     }
 }
 
@@ -64,24 +55,20 @@ impl crate::merge::MergeableObserver for MixObserver {
 mod tests {
     use super::*;
 
-    fn event(class: InstrClass, active: u32) -> InstrEvent<'static> {
-        InstrEvent {
-            block: 0,
-            warp: 0,
-            pc: 0,
-            class,
-            active,
-            live: u32::MAX,
-            dst: None,
-            srcs: &[],
+    fn stats(lanes: &[(InstrClass, u64)]) -> LaunchStats {
+        let mut s = LaunchStats::default();
+        for &(class, n) in lanes {
+            s.lanes_by_class[class as usize] += n;
+            s.thread_instrs += n;
         }
+        s
     }
 
     #[test]
     fn counts_active_lanes() {
         let mut m = MixObserver::new();
-        m.on_instr(&event(InstrClass::IntAlu, 0b1111));
-        m.on_instr(&event(InstrClass::FpAlu, 0b1));
+        m.on_launch_end(&stats(&[(InstrClass::IntAlu, 4)]));
+        m.on_launch_end(&stats(&[(InstrClass::FpAlu, 1)]));
         assert_eq!(m.count(InstrClass::IntAlu), 4);
         assert_eq!(m.count(InstrClass::FpAlu), 1);
         assert_eq!(m.total(), 5);
@@ -96,10 +83,12 @@ mod tests {
 
     #[test]
     fn fractions_sum_to_one() {
-        let mut m = MixObserver::new();
-        for (i, &c) in InstrClass::ALL.iter().enumerate() {
-            m.on_instr(&event(c, (1 << (i + 1)) - 1));
-        }
+        let lanes: Vec<(InstrClass, u64)> = InstrClass::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c, i as u64 + 1))
+            .collect();
+        let m = MixObserver::from_stats(stats(&lanes));
         let sum: f64 = InstrClass::ALL.iter().map(|&c| m.fraction(c)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
     }

@@ -46,11 +46,25 @@ pub struct KernelProfile {
     name: String,
     values: Vec<f64>,
     raw: RawCounts,
-    stats: LaunchStats,
+    totals: LaunchTotals,
+}
+
+/// The [`LaunchStats`] fields a profile keeps and the profile cache
+/// persists. The engine's mix and divergence counters are left out:
+/// they live on in the characteristic vector, and keeping them would
+/// more than double the size of every profile.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LaunchTotals {
+    warp_instrs: u64,
+    thread_instrs: u64,
+    blocks: u64,
+    warps: u64,
+    barriers: u64,
 }
 
 impl KernelProfile {
-    /// Creates a profile; `values` must match the schema length.
+    /// Creates a profile; `values` must match the schema length. Of
+    /// `stats` only the launch totals are kept.
     ///
     /// # Panics
     ///
@@ -67,7 +81,13 @@ impl KernelProfile {
             name: name.into(),
             values,
             raw,
-            stats,
+            totals: LaunchTotals {
+                warp_instrs: stats.warp_instrs,
+                thread_instrs: stats.thread_instrs,
+                blocks: stats.blocks,
+                warps: stats.warps,
+                barriers: stats.barriers,
+            },
         }
     }
 
@@ -95,9 +115,19 @@ impl KernelProfile {
         &self.raw
     }
 
-    /// Executor launch statistics.
-    pub fn stats(&self) -> &LaunchStats {
-        &self.stats
+    /// Executor launch statistics: the totals (warp/thread
+    /// instructions, blocks, warps, barriers), with the mix and
+    /// divergence counters zero.
+    pub fn stats(&self) -> LaunchStats {
+        let t = self.totals;
+        LaunchStats {
+            warp_instrs: t.warp_instrs,
+            thread_instrs: t.thread_instrs,
+            blocks: t.blocks,
+            warps: t.warps,
+            barriers: t.barriers,
+            ..LaunchStats::default()
+        }
     }
 
     /// Renders the profile as a two-column table (name, value).

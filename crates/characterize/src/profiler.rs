@@ -5,7 +5,7 @@ use gwc_simt::exec::Device;
 use gwc_simt::instr::{InstrClass, Value};
 use gwc_simt::kernel::Kernel;
 use gwc_simt::launch::LaunchConfig;
-use gwc_simt::trace::{BranchEvent, InstrEvent, LaunchStats, MemEvent, TraceObserver};
+use gwc_simt::trace::{InstrEvent, LaunchStats, MemEvent, TraceObserver};
 use gwc_simt::SimtError;
 
 use crate::coalescing::CoalescingObserver;
@@ -103,14 +103,16 @@ impl LocalityState {
 
 /// Runs all characterization observers over a launch.
 ///
+/// Instruction mix and divergence are folds of the engine's own
+/// [`LaunchStats`] counters, accumulated in `on_launch_end`; only ILP
+/// (dataflow), coalescing and locality (addresses) observe events.
+///
 /// Use [`characterize_launch`] unless you need to keep the profiler
 /// around (e.g. to profile several launches of the same logical kernel
 /// into one profile — the observers accumulate across launches).
 #[derive(Debug)]
 pub struct Profiler {
-    mix: MixObserver,
     ilp: IlpObserver,
-    divergence: DivergenceObserver,
     coalescing: CoalescingObserver,
     locality: LocalityState,
     stats: LaunchStats,
@@ -132,9 +134,7 @@ impl Profiler {
     /// Creates an empty profiler with the given observer tier.
     pub fn with_tier(tier: ObserverTier) -> Self {
         Self {
-            mix: MixObserver::default(),
             ilp: IlpObserver::default(),
-            divergence: DivergenceObserver::default(),
             coalescing: CoalescingObserver::default(),
             locality: LocalityState::new(tier),
             stats: LaunchStats::default(),
@@ -148,17 +148,13 @@ impl Profiler {
         self.locality.tier()
     }
 
-    /// Creates a profiler for one *shard* of a launch: block-range events
-    /// will be streamed into it without launch boundary events (the
-    /// master profiler owns those), and it is later folded back into the
-    /// master with [`MergeableObserver::merge`].
-    pub fn shard(kernel: &Kernel, config: &LaunchConfig) -> Self {
-        Self::shard_with(kernel, config, ObserverTier::Exact)
-    }
-
-    /// [`Profiler::shard`] with an explicit observer tier — must match
-    /// the master profiler's tier.
-    pub fn shard_with(kernel: &Kernel, config: &LaunchConfig, tier: ObserverTier) -> Self {
+    /// Creates a profiler for one *shard* of a launch on `tier`, which
+    /// must match the master profiler's tier: block-range events will be
+    /// streamed into it without launch boundary events (the master
+    /// profiler owns those, and with them the launch stats), and it is
+    /// later folded back into the master with
+    /// [`MergeableObserver::merge`].
+    pub fn shard(kernel: &Kernel, config: &LaunchConfig, tier: ObserverTier) -> Self {
         let mut p = Self::with_tier(tier);
         // Prime the ILP observer with the kernel's register count; the
         // fold inside is a no-op on a fresh observer, and `launch_shape`
@@ -177,31 +173,33 @@ impl Profiler {
     /// named `name`.
     pub fn finish(self, name: impl Into<String>) -> KernelProfile {
         let (total_threads, threads_per_block, blocks) = self.launch_shape.unwrap_or((0, 0, 0));
-        let thread_instrs = self.mix.total().max(1);
+        let mix = MixObserver::from_stats(self.stats);
+        let divergence = DivergenceObserver::from_stats(self.stats);
+        let thread_instrs = mix.total().max(1);
         let mut v = vec![0.0; schema::len()];
         let mut set = |n: &str, val: f64| v[schema::index_of(n)] = val;
 
-        set("mix_int_alu", self.mix.fraction(InstrClass::IntAlu));
-        set("mix_fp_alu", self.mix.fraction(InstrClass::FpAlu));
-        set("mix_sfu", self.mix.fraction(InstrClass::Sfu));
-        set("mix_mem_global", self.mix.fraction(InstrClass::MemGlobal));
-        set("mix_mem_shared", self.mix.fraction(InstrClass::MemShared));
+        set("mix_int_alu", mix.fraction(InstrClass::IntAlu));
+        set("mix_fp_alu", mix.fraction(InstrClass::FpAlu));
+        set("mix_sfu", mix.fraction(InstrClass::Sfu));
+        set("mix_mem_global", mix.fraction(InstrClass::MemGlobal));
+        set("mix_mem_shared", mix.fraction(InstrClass::MemShared));
         set(
             "mix_mem_other",
-            self.mix.fraction(InstrClass::MemLocal) + self.mix.fraction(InstrClass::MemConst),
+            mix.fraction(InstrClass::MemLocal) + mix.fraction(InstrClass::MemConst),
         );
-        set("mix_ctrl", self.mix.fraction(InstrClass::Ctrl));
-        set("mix_sync", self.mix.fraction(InstrClass::Sync));
-        set("mix_atomic", self.mix.fraction(InstrClass::Atomic));
-        set("mix_move", self.mix.fraction(InstrClass::Move));
+        set("mix_ctrl", mix.fraction(InstrClass::Ctrl));
+        set("mix_sync", mix.fraction(InstrClass::Sync));
+        set("mix_atomic", mix.fraction(InstrClass::Atomic));
+        set("mix_move", mix.fraction(InstrClass::Move));
 
         set("ilp_dataflow", self.ilp.ilp());
         set("ilp_dep_distance", self.ilp.dep_distance());
 
-        set("div_branch_density", self.divergence.branch_density());
-        set("div_branch_frac", self.divergence.divergent_branch_frac());
-        set("div_simd_activity", self.divergence.simd_activity());
-        set("div_warp_instr_frac", self.divergence.diverged_instr_frac());
+        set("div_branch_density", divergence.branch_density());
+        set("div_branch_frac", divergence.divergent_branch_frac());
+        set("div_simd_activity", divergence.simd_activity());
+        set("div_warp_instr_frac", divergence.diverged_instr_frac());
 
         set(
             "coal_segments_per_access",
@@ -228,7 +226,7 @@ impl Profiler {
         );
         set(
             "sync_atomic_kinstr",
-            self.mix.count(InstrClass::Atomic) as f64 * 1000.0 / thread_instrs as f64,
+            mix.count(InstrClass::Atomic) as f64 * 1000.0 / thread_instrs as f64,
         );
 
         set("shape_log_threads", (total_threads.max(1) as f64).log2());
@@ -246,14 +244,14 @@ impl Profiler {
 
         let raw = RawCounts {
             warp_instrs: self.stats.warp_instrs,
-            thread_instrs: self.mix.total(),
+            thread_instrs: mix.total(),
             global_accesses: self.coalescing.global_accesses(),
             global_transactions: self.coalescing.global_segments(),
             shared_accesses: self.coalescing.shared_accesses(),
             shared_serialized: self.coalescing.shared_serialized(),
-            sfu_thread_instrs: self.mix.count(InstrClass::Sfu),
+            sfu_thread_instrs: mix.count(InstrClass::Sfu),
             barriers: self.stats.barriers,
-            atomic_thread_ops: self.mix.count(InstrClass::Atomic),
+            atomic_thread_ops: mix.count(InstrClass::Atomic),
             total_threads,
             threads_per_block,
             blocks,
@@ -272,23 +270,14 @@ impl TraceObserver for Profiler {
         shape.2 += config.blocks() as u64;
     }
     fn on_instr(&mut self, e: &InstrEvent<'_>) {
-        self.mix.on_instr(e);
         self.ilp.on_instr(e);
-        self.divergence.on_instr(e);
     }
     fn on_mem(&mut self, e: &MemEvent<'_>) {
         self.coalescing.on_mem(e);
         self.locality.on_mem(e);
     }
-    fn on_branch(&mut self, e: &BranchEvent) {
-        self.divergence.on_branch(e);
-    }
     fn on_launch_end(&mut self, stats: &LaunchStats) {
-        self.stats.warp_instrs += stats.warp_instrs;
-        self.stats.thread_instrs += stats.thread_instrs;
-        self.stats.blocks += stats.blocks;
-        self.stats.warps += stats.warps;
-        self.stats.barriers += stats.barriers;
+        self.stats.add(stats);
         gwc_obs::count_max("observer.bytes_peak", self.observer_bytes());
     }
 }
@@ -297,8 +286,9 @@ impl MergeableObserver for Profiler {
     /// Folds a shard profiler (created with [`Profiler::shard`]) back
     /// into the master, in ascending block order. Shards carry no launch
     /// boundary state — the master accumulates `launch_shape` and stats
-    /// through its own `on_launch`/`on_launch_end` — so only the
-    /// streaming observers merge here.
+    /// (with them the mix and divergence counters) through its own
+    /// `on_launch`/`on_launch_end` — so only the event observers merge
+    /// here.
     fn merge(&mut self, later: Self) {
         debug_assert!(
             later.launch_shape.is_none(),
@@ -309,9 +299,7 @@ impl MergeableObserver for Profiler {
             "observer.bytes_peak",
             self.observer_bytes() + later.observer_bytes(),
         );
-        self.mix.merge(later.mix);
         self.ilp.merge(later.ilp);
-        self.divergence.merge(later.divergence);
         self.coalescing.merge(later.coalescing);
         self.locality.merge(later.locality);
     }

@@ -13,8 +13,9 @@
 //!    is the serial run's by construction.
 //! 3. Otherwise the master [`Profiler`] sees `on_launch` (launch shape,
 //!    ILP fold), and in ascending block order each shard is folded into
-//!    it ([`MergeableObserver::merge`]), its stats summed, and its
-//!    global writes absorbed ([`Device::absorb_writes`]).
+//!    it ([`MergeableObserver::merge`]), its stats summed
+//!    ([`LaunchStats::add`]), and its global writes absorbed
+//!    ([`Device::absorb_writes`]).
 //! 4. The master sees `on_launch_end` with the summed stats — exactly
 //!    the stats the serial launch reports.
 //!
@@ -35,7 +36,7 @@ use gwc_simt::launch::LaunchConfig;
 use gwc_simt::trace::{LaunchStats, TraceObserver};
 use gwc_simt::SimtError;
 
-use crate::merge::{merge_stats, MergeableObserver};
+use crate::merge::MergeableObserver;
 use crate::profile::KernelProfile;
 use crate::profiler::Profiler;
 
@@ -102,7 +103,7 @@ pub fn profile_launch_sharded(
                     let t0 = gwc_obs::enabled().then(std::time::Instant::now);
                     let _observe = gwc_obs::span!("shard/observe");
                     let mut shard_dev = dev.fork();
-                    let mut shard = Profiler::shard_with(kernel, config, tier);
+                    let mut shard = Profiler::shard(kernel, config, tier);
                     let stats =
                         shard_dev.run_block_range(kernel, config, args, first, last, &mut shard)?;
                     if let Some(t0) = t0 {
@@ -143,7 +144,7 @@ pub fn profile_launch_sharded(
         for (mut shard_dev, shard, stats) in outputs {
             let t0 = gwc_obs::enabled().then(std::time::Instant::now);
             profiler.merge(shard);
-            merge_stats(&mut total, &stats);
+            total.add(&stats);
             if let Some(shard_exec) = shard_dev.take_exec_profile() {
                 match &mut exec_total {
                     Some(t) => t.merge(&shard_exec),
@@ -312,8 +313,7 @@ mod tests {
             let args = setup(&mut dev);
             characterize_launch_sharded(&mut dev, &k, &config, &args, threads).unwrap();
             let exec = dev.take_exec_profile().expect("profile collected");
-            let total = exec.total();
-            assert!(total.warp_uops > 0 && total.lane_uops > 0);
+            assert!(exec.pcs().iter().any(|c| c.lane_uops > 0));
             // Shard merging is elementwise addition, so the merged
             // profile must be bit-identical no matter how the blocks
             // were split.

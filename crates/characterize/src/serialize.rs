@@ -69,7 +69,7 @@ pub fn profile_to_json(profile: &KernelProfile) -> Json {
             ),
         ),
         ("raw".to_string(), raw_to_json(profile.raw())),
-        ("stats".to_string(), stats_to_json(profile.stats())),
+        ("stats".to_string(), stats_to_json(&profile.stats())),
     ])
 }
 
@@ -102,6 +102,7 @@ fn stats_from_json(doc: &Json) -> Option<LaunchStats> {
         blocks: get_u64(doc, "blocks")?,
         warps: get_u64(doc, "warps")?,
         barriers: get_u64(doc, "barriers")?,
+        ..LaunchStats::default()
     })
 }
 
@@ -150,6 +151,7 @@ mod tests {
                 blocks: 2,
                 warps: 3,
                 barriers: 4,
+                ..LaunchStats::default()
             },
         )
     }

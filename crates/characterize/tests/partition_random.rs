@@ -6,7 +6,7 @@
 //! and merging must equal observing the whole trace — bit for bit — and
 //! the absorbed global memory must match the serial run byte for byte.
 
-use gwc_characterize::merge::{merge_stats, MergeableObserver};
+use gwc_characterize::merge::MergeableObserver;
 use gwc_characterize::{KernelProfile, ObserverTier, Profiler};
 use gwc_simt::builder::KernelBuilder;
 use gwc_simt::exec::Device;
@@ -149,7 +149,7 @@ fn profile_partitioned(
         .windows(2)
         .map(|w| {
             let mut sd = dev.fork();
-            let mut sp = Profiler::shard_with(kernel, config, tier);
+            let mut sp = Profiler::shard(kernel, config, tier);
             let stats = sd
                 .run_block_range(kernel, config, args, w[0], w[1], &mut sp)
                 .expect("shard runs");
@@ -159,7 +159,7 @@ fn profile_partitioned(
     let mut total = LaunchStats::default();
     for (sd, sp, stats) in shards {
         master.merge(sp);
-        merge_stats(&mut total, &stats);
+        total.add(&stats);
         dev.absorb_writes(&base, &sd);
     }
     master.on_launch_end(&total);

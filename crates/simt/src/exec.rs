@@ -831,7 +831,7 @@ impl LaunchCtx<'_> {
 
             let pc = top.pc;
             let mask = top.mask;
-            self.retire(pc, mask)?;
+            self.retire(pc, mask, warp.live)?;
             self.observe_instr(observer, block, warp, pc, mask);
 
             match uops[pc] {
@@ -1043,7 +1043,7 @@ impl LaunchCtx<'_> {
                         active: mask,
                         taken,
                     });
-                    branch(warp, pc, mask, taken, target, rpc);
+                    self.branch(warp, pc, mask, taken, target, rpc);
                 }
                 Uop::Ret => {
                     let exiting = mask;
@@ -1057,21 +1057,71 @@ impl LaunchCtx<'_> {
     }
 
     /// Warp-instruction accounting at the top of every step, shared by
-    /// both engines: bump, enforce the budget, add active lanes, bump
-    /// the exec profile.
+    /// both engines and the only place instructions are counted: bump,
+    /// enforce the budget, add active lanes (in total, per class and per
+    /// live-lane count), count a diverged issue, bump the exec profile.
     #[inline]
-    pub(crate) fn retire(&mut self, pc: usize, mask: u32) -> Result<(), SimtError> {
-        self.stats.warp_instrs += 1;
-        if self.stats.warp_instrs > self.budget {
+    pub(crate) fn retire(&mut self, pc: usize, mask: u32, live: u32) -> Result<(), SimtError> {
+        let stats = &mut *self.stats;
+        stats.warp_instrs += 1;
+        if stats.warp_instrs > self.budget {
             return Err(SimtError::InstructionBudgetExceeded {
                 budget: self.budget,
             });
         }
-        self.stats.thread_instrs += mask.count_ones() as u64;
+        let lanes = mask.count_ones() as u64;
+        stats.thread_instrs += lanes;
+        stats.lanes_by_class[self.dec.class(pc) as usize] += lanes;
+        stats.active_by_live[live.count_ones().max(1) as usize] += lanes;
+        stats.diverged_warp_instrs += (mask != live) as u64;
         if let Some(exec) = self.exec.as_deref_mut() {
-            exec.bump(pc, self.dec.class(pc), mask);
+            exec.bump(pc, mask);
         }
         Ok(())
+    }
+
+    /// Applies a resolved conditional branch at `pc`, shared by both
+    /// engines: counts it (and whether it diverged), then updates the
+    /// reconvergence stack — uniform outcomes move the top entry, a
+    /// divergent one splits it into the continuation, the not-taken
+    /// path and the taken path (which runs first).
+    pub(crate) fn branch(
+        &mut self,
+        warp: &mut Warp,
+        pc: usize,
+        mask: u32,
+        taken: u32,
+        target: u32,
+        rpc: u32,
+    ) {
+        self.stats.branches += 1;
+        if taken == 0 {
+            advance(warp);
+        } else if taken == mask {
+            warp.stack.last_mut().expect("non-empty").pc = target as usize;
+        } else {
+            self.stats.divergent_branches += 1;
+            let rpc = rpc as usize;
+            let old = warp.stack.pop().expect("non-empty");
+            // Continuation at the reconvergence point.
+            warp.stack.push(StackEntry {
+                pc: rpc,
+                rpc: old.rpc,
+                mask: old.mask,
+            });
+            // Not-taken path.
+            warp.stack.push(StackEntry {
+                pc: pc + 1,
+                rpc,
+                mask: mask & !taken,
+            });
+            // Taken path (runs first).
+            warp.stack.push(StackEntry {
+                pc: target as usize,
+                rpc,
+                mask: taken,
+            });
+        }
     }
 
     /// Emits the per-pc instruction event.
@@ -1153,39 +1203,6 @@ pub(crate) fn lanes(mask: u32) -> impl Iterator<Item = usize> {
 
 pub(crate) fn advance(warp: &mut Warp) {
     warp.stack.last_mut().expect("non-empty").pc += 1;
-}
-
-/// Applies a resolved branch at `pc` to the reconvergence stack: uniform
-/// outcomes move the top entry, a divergent one splits it into the
-/// continuation, the not-taken path and the taken path (which runs
-/// first).
-pub(crate) fn branch(warp: &mut Warp, pc: usize, mask: u32, taken: u32, target: u32, rpc: u32) {
-    if taken == 0 {
-        advance(warp);
-    } else if taken == mask {
-        warp.stack.last_mut().expect("non-empty").pc = target as usize;
-    } else {
-        let rpc = rpc as usize;
-        let old = warp.stack.pop().expect("non-empty");
-        // Continuation at the reconvergence point.
-        warp.stack.push(StackEntry {
-            pc: rpc,
-            rpc: old.rpc,
-            mask: old.mask,
-        });
-        // Not-taken path.
-        warp.stack.push(StackEntry {
-            pc: pc + 1,
-            rpc,
-            mask: mask & !taken,
-        });
-        // Taken path (runs first).
-        warp.stack.push(StackEntry {
-            pc: target as usize,
-            rpc,
-            mask: taken,
-        });
-    }
 }
 
 #[inline]

@@ -1,26 +1,24 @@
 //! Execution-cost profiles: where the retired µops of a launch went.
 //!
-//! An [`ExecProfile`] counts, per µop class and per pc, how many
-//! warp-level µops retired and how many lane-slots were active when they
-//! did. Both backends bump it with two flat array adds per retired µop
-//! (see the scalar prologue in [`crate::exec`] and `account` in the SIMD
-//! engine), so collection is cheap enough to leave on whenever a
-//! recorder is installed — and exactly one branch when it is not.
+//! An [`ExecProfile`] counts, per pc, how many warp-level µops retired
+//! and how many lane-slots were active when they did. Both engines bump
+//! it with one flat array add per retired µop (in the shared step
+//! prologue, `LaunchCtx::retire` in [`crate::exec`]), so collection is
+//! cheap enough to leave on whenever a recorder is installed — and
+//! exactly one branch when it is not. Per-class totals are folds of the
+//! per-pc table by each pc's decoded class (the launch's instruction
+//! mix itself is counted in [`crate::trace::LaunchStats`]).
 //!
 //! Profiles are plain counter arrays, so shard profiles merge like
 //! observers do: [`ExecProfile::merge`] is an elementwise add, hence
 //! associative, commutative, and invariant under the block sharding of
 //! the parallel characterization runtime.
 
-use crate::instr::InstrClass;
-
-/// Number of µop classes ([`InstrClass::ALL`]).
-pub const N_CLASSES: usize = InstrClass::ALL.len();
-
 /// How many hotspot pcs a launch reports to the recorder.
 pub const HOTSPOT_TOP_N: usize = 8;
 
-/// Retired-µop counters at one attribution site (a class or a pc).
+/// Retired-µop counters at one attribution site (a pc, or a class of
+/// pcs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UopCounts {
     /// Warp-level µops retired (one per lock-step issue).
@@ -31,17 +29,16 @@ pub struct UopCounts {
 
 impl UopCounts {
     #[inline]
-    fn add(&mut self, other: UopCounts) {
+    pub(crate) fn add(&mut self, other: UopCounts) {
         self.warp_uops += other.warp_uops;
         self.lane_uops += other.lane_uops;
     }
 }
 
-/// Per-µop-class and per-pc retired-µop/active-lane counters for one
-/// launch (or one block-range shard of a launch).
+/// Per-pc retired-µop/active-lane counters for one launch (or one
+/// block-range shard of a launch).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecProfile {
-    classes: [UopCounts; N_CLASSES],
     pcs: Vec<UopCounts>,
 }
 
@@ -49,22 +46,17 @@ impl ExecProfile {
     /// An empty profile over a kernel with `n_pcs` decoded µops.
     pub fn new(n_pcs: usize) -> Self {
         Self {
-            classes: [UopCounts::default(); N_CLASSES],
             pcs: vec![UopCounts::default(); n_pcs],
         }
     }
 
     /// Records one retired warp-level µop at `pc` with active mask
-    /// `mask`. Two array bumps; called from the backends' lane loops.
+    /// `mask`. One array bump; called from the engines' step prologue.
     #[inline]
-    pub(crate) fn bump(&mut self, pc: usize, class: InstrClass, mask: u32) {
-        let lanes = mask.count_ones() as u64;
-        let c = &mut self.classes[class as usize];
-        c.warp_uops += 1;
-        c.lane_uops += lanes;
+    pub(crate) fn bump(&mut self, pc: usize, mask: u32) {
         let p = &mut self.pcs[pc];
         p.warp_uops += 1;
-        p.lane_uops += lanes;
+        p.lane_uops += mask.count_ones() as u64;
     }
 
     /// Adds `other` into `self`, elementwise. Associative and
@@ -79,38 +71,14 @@ impl ExecProfile {
             other.pcs.len(),
             "merging exec profiles of different kernels"
         );
-        for (c, o) in self.classes.iter_mut().zip(&other.classes) {
-            c.add(*o);
-        }
         for (p, o) in self.pcs.iter_mut().zip(&other.pcs) {
             p.add(*o);
         }
     }
 
-    /// Counters for one µop class.
-    pub fn class_counts(&self, class: InstrClass) -> UopCounts {
-        self.classes[class as usize]
-    }
-
-    /// All classes with their counters, in [`InstrClass::ALL`] order.
-    pub fn classes(&self) -> impl Iterator<Item = (InstrClass, UopCounts)> + '_ {
-        InstrClass::ALL
-            .iter()
-            .map(move |&c| (c, self.classes[c as usize]))
-    }
-
     /// Per-pc counters, indexed by decoded µop index.
     pub fn pcs(&self) -> &[UopCounts] {
         &self.pcs
-    }
-
-    /// Totals over all classes.
-    pub fn total(&self) -> UopCounts {
-        let mut t = UopCounts::default();
-        for c in &self.classes {
-            t.add(*c);
-        }
-        t
     }
 
     /// The `n` hottest pcs by active lane-slots (ties broken by lower
@@ -141,36 +109,26 @@ mod tests {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let class = InstrClass::ALL[(x >> 32) as usize % N_CLASSES];
             for _ in 0..(x % 5) {
-                p.bump(pc, class, (x as u32) | 1);
+                p.bump(pc, (x as u32) | 1);
             }
         }
         p
     }
 
     #[test]
-    fn class_indices_match_all_order() {
-        for (i, &c) in InstrClass::ALL.iter().enumerate() {
-            assert_eq!(c as usize, i, "{c:?} discriminant out of ALL order");
-        }
-    }
-
-    #[test]
-    fn bump_updates_class_and_pc() {
+    fn bump_updates_the_pc() {
         let mut p = ExecProfile::new(4);
-        p.bump(2, InstrClass::FpAlu, 0b1011);
-        p.bump(2, InstrClass::FpAlu, 0b0001);
+        p.bump(2, 0b1011);
+        p.bump(2, 0b0001);
         assert_eq!(
-            p.class_counts(InstrClass::FpAlu),
+            p.pcs()[2],
             UopCounts {
                 warp_uops: 2,
                 lane_uops: 4
             }
         );
-        assert_eq!(p.pcs()[2].warp_uops, 2);
-        assert_eq!(p.pcs()[2].lane_uops, 4);
-        assert_eq!(p.total().warp_uops, 2);
+        assert_eq!(p.top_pcs(4).len(), 1, "only pc 2 retired");
     }
 
     #[test]
@@ -209,10 +167,10 @@ mod tests {
     #[test]
     fn top_pcs_ranks_by_lanes_then_pc() {
         let mut p = ExecProfile::new(5);
-        p.bump(0, InstrClass::IntAlu, 0b1); // 1 lane
-        p.bump(3, InstrClass::IntAlu, 0b1111); // 4 lanes
-        p.bump(1, InstrClass::Move, 0b11); // 2 lanes
-        p.bump(4, InstrClass::Move, 0b11); // 2 lanes (tie with pc 1)
+        p.bump(0, 0b1); // 1 lane
+        p.bump(3, 0b1111); // 4 lanes
+        p.bump(1, 0b11); // 2 lanes
+        p.bump(4, 0b11); // 2 lanes (tie with pc 1)
         let top = p.top_pcs(3);
         let pcs: Vec<usize> = top.iter().map(|(pc, _)| *pc).collect();
         assert_eq!(pcs, vec![3, 1, 4]);

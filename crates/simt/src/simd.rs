@@ -33,7 +33,7 @@
 //!   [`MemEvent`] contract.
 
 use crate::decode::{self, BinKind, Src, UnKind, Uop};
-use crate::exec::{advance, branch, lanes, read4, write4, write_reg, LaunchCtx, Warp};
+use crate::exec::{advance, lanes, read4, write4, write_reg, LaunchCtx, Warp};
 use crate::instr::{CmpOp, Space, Type};
 use crate::trace::{AccessKind, BranchEvent, MemEvent, TraceObserver};
 use crate::{SimtError, WARP_SIZE};
@@ -262,7 +262,7 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
         let pc = top.pc;
         let mask = top.mask;
 
-        ctx.retire(pc, mask)?;
+        ctx.retire(pc, mask, warp.live)?;
         ctx.observe_instr(observer, block, warp, pc, mask);
 
         match uops[pc] {
@@ -526,7 +526,7 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
                     active: mask,
                     taken,
                 });
-                branch(warp, pc, mask, taken, target, rpc);
+                ctx.branch(warp, pc, mask, taken, target, rpc);
             }
             Uop::Ret => {
                 let exiting = mask;

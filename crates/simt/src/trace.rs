@@ -109,7 +109,14 @@ impl BranchEvent {
 }
 
 /// Summary counters the executor returns from each launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// Every counter is bumped by the engines themselves — once per retired
+/// warp instruction and once per conditional branch — so the instruction
+/// mix and the divergence characteristics are folds of these integers,
+/// not of the event stream. All fields are sums, so the stats of
+/// disjoint block ranges [`add`](LaunchStats::add) up to the stats of
+/// the whole launch exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Warp-level dynamic instructions (one per lock-step issue).
     pub warp_instrs: u64,
@@ -121,6 +128,56 @@ pub struct LaunchStats {
     pub warps: u64,
     /// Barriers released (block-wide).
     pub barriers: u64,
+    /// Active lanes summed per [`InstrClass`], indexed by `class as usize`.
+    pub lanes_by_class: [u64; InstrClass::ALL.len()],
+    /// `active_by_live[m]` sums active lanes over warp instructions
+    /// issued with exactly `m` live lanes (index 0 unused).
+    pub active_by_live: [u64; WARP_SIZE + 1],
+    /// Warp instructions issued with some live lane inactive.
+    pub diverged_warp_instrs: u64,
+    /// Conditional branches executed (warp level).
+    pub branches: u64,
+    /// Conditional branches that split their warp.
+    pub divergent_branches: u64,
+}
+
+impl Default for LaunchStats {
+    fn default() -> Self {
+        Self {
+            warp_instrs: 0,
+            thread_instrs: 0,
+            blocks: 0,
+            warps: 0,
+            barriers: 0,
+            lanes_by_class: [0; InstrClass::ALL.len()],
+            active_by_live: [0; WARP_SIZE + 1],
+            diverged_warp_instrs: 0,
+            branches: 0,
+            divergent_branches: 0,
+        }
+    }
+}
+
+impl LaunchStats {
+    /// Adds `other` into `self`, field by field. With stats of disjoint
+    /// block ranges of one launch the sum equals the serial launch's
+    /// stats; across launches it accumulates a multi-launch kernel.
+    pub fn add(&mut self, other: &LaunchStats) {
+        self.warp_instrs += other.warp_instrs;
+        self.thread_instrs += other.thread_instrs;
+        self.blocks += other.blocks;
+        self.warps += other.warps;
+        self.barriers += other.barriers;
+        for (a, b) in self.lanes_by_class.iter_mut().zip(&other.lanes_by_class) {
+            *a += b;
+        }
+        for (a, b) in self.active_by_live.iter_mut().zip(&other.active_by_live) {
+            *a += b;
+        }
+        self.diverged_warp_instrs += other.diverged_warp_instrs;
+        self.branches += other.branches;
+        self.divergent_branches += other.divergent_branches;
+    }
 }
 
 /// Reports one retired launch to the observability recorder: the
@@ -155,8 +212,9 @@ pub fn record_launch(kernel: &str, stats: &LaunchStats, wall_ns: u64) {
 }
 
 /// Reports one retired launch's execution-cost profile: nonzero µop
-/// classes plus the [`crate::profile::HOTSPOT_TOP_N`] hottest pcs, each
-/// tagged with its class from the kernel's decoded stream. Like
+/// classes (the per-pc counts folded by each pc's decoded class) plus
+/// the [`crate::profile::HOTSPOT_TOP_N`] hottest pcs, each tagged with
+/// its class from the kernel's decoded stream. Like
 /// [`record_launch`], a sharded launch reports once with the merged
 /// shard profiles. One branch when no recorder is installed; the
 /// payload slices live on this stack frame.
@@ -164,13 +222,18 @@ pub fn record_exec_profile(kernel: &Kernel, profile: &crate::profile::ExecProfil
     let Some(rec) = gwc_obs::recorder() else {
         return;
     };
+    let dec = kernel.decoded();
+    let mut by_class = [crate::profile::UopCounts::default(); InstrClass::ALL.len()];
+    for (pc, counts) in profile.pcs().iter().enumerate() {
+        by_class[dec.class(pc) as usize].add(*counts);
+    }
     let mut classes = [gwc_obs::ExecClass {
         class: "",
         warp_uops: 0,
         lane_uops: 0,
-    }; crate::profile::N_CLASSES];
+    }; InstrClass::ALL.len()];
     let mut n = 0;
-    for (class, counts) in profile.classes() {
+    for (&class, counts) in InstrClass::ALL.iter().zip(&by_class) {
         if counts.warp_uops == 0 {
             continue;
         }
@@ -181,7 +244,6 @@ pub fn record_exec_profile(kernel: &Kernel, profile: &crate::profile::ExecProfil
         };
         n += 1;
     }
-    let dec = kernel.decoded();
     let top = profile.top_pcs(crate::profile::HOTSPOT_TOP_N);
     let mut hotspots = [gwc_obs::ExecHotspot {
         pc: 0,
@@ -358,71 +420,18 @@ impl TraceObserver for TraceHasher {
     }
 }
 
-/// Fans events out to several observers in order.
-#[derive(Default)]
-pub struct MultiObserver<'a> {
-    observers: Vec<&'a mut dyn TraceObserver>,
-}
-
-impl std::fmt::Debug for MultiObserver<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiObserver")
-            .field("observers", &self.observers.len())
-            .finish()
-    }
-}
-
-impl<'a> MultiObserver<'a> {
-    /// Creates an empty fan-out observer.
-    pub fn new() -> Self {
-        Self {
-            observers: Vec::new(),
-        }
-    }
-
-    /// Adds an observer to the fan-out list.
-    pub fn push(&mut self, obs: &'a mut dyn TraceObserver) -> &mut Self {
-        self.observers.push(obs);
-        self
-    }
-}
-
-impl TraceObserver for MultiObserver<'_> {
-    fn on_launch(&mut self, kernel: &Kernel, config: &LaunchConfig) {
-        for o in &mut self.observers {
-            o.on_launch(kernel, config);
-        }
-    }
-    fn on_instr(&mut self, event: &InstrEvent<'_>) {
-        for o in &mut self.observers {
-            o.on_instr(event);
-        }
-    }
-    fn on_mem(&mut self, event: &MemEvent<'_>) {
-        for o in &mut self.observers {
-            o.on_mem(event);
-        }
-    }
-    fn on_branch(&mut self, event: &BranchEvent) {
-        for o in &mut self.observers {
-            o.on_branch(event);
-        }
-    }
-    fn on_barrier(&mut self, block: u32) {
-        for o in &mut self.observers {
-            o.on_barrier(block);
-        }
-    }
-    fn on_launch_end(&mut self, stats: &LaunchStats) {
-        for o in &mut self.observers {
-            o.on_launch_end(stats);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn class_indices_match_all_order() {
+        // `LaunchStats::lanes_by_class` and the exec-profile class fold
+        // index by discriminant.
+        for (i, &c) in InstrClass::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} discriminant out of ALL order");
+        }
+    }
 
     #[test]
     fn branch_divergence_detection() {
@@ -471,26 +480,5 @@ mod tests {
             srcs: &[],
         };
         assert_eq!(e.active_lanes(), 32);
-    }
-
-    #[test]
-    fn multi_observer_fans_out() {
-        #[derive(Default)]
-        struct Counter(u32);
-        impl TraceObserver for Counter {
-            fn on_barrier(&mut self, _b: u32) {
-                self.0 += 1;
-            }
-        }
-        let mut a = Counter::default();
-        let mut b = Counter::default();
-        {
-            let mut multi = MultiObserver::new();
-            multi.push(&mut a).push(&mut b);
-            multi.on_barrier(0);
-            multi.on_barrier(1);
-        }
-        assert_eq!(a.0, 2);
-        assert_eq!(b.0, 2);
     }
 }

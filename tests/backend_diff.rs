@@ -15,7 +15,11 @@
 //! 3. **Profiles** — the 33-dimension characteristic vector produced
 //!    by the sharded characterization runtime matches bitwise across
 //!    backends at 1, 2, 4 and 8 threads.
-//! 4. **Generated kernels** — hundreds of seeded random kernels from
+//! 4. **Engine counters** — the instruction-mix and divergence
+//!    counters the engines keep in [`LaunchStats`] must equal a
+//!    reference fold of the event stream ([`EventFold`]) for every
+//!    registry launch and every generated kernel, on both backends.
+//! 5. **Generated kernels** — hundreds of seeded random kernels from
 //!    [`gwc::simt::kgen`] (divergence / stride / atomic-density knobs)
 //!    sweep the corners registry workloads don't reach. Set
 //!    `GWC_DIFF_KERNELS` to change the count; the `#[ignore]`d
@@ -30,8 +34,13 @@ use std::collections::HashSet;
 use gwc::characterize::characterize_launch_sharded;
 use gwc::simt::backend::BackendKind;
 use gwc::simt::exec::Device;
+use gwc::simt::instr::InstrClass;
+use gwc::simt::kernel::Kernel;
 use gwc::simt::kgen;
-use gwc::simt::trace::TraceHasher;
+use gwc::simt::launch::LaunchConfig;
+use gwc::simt::trace::{
+    BranchEvent, InstrEvent, LaunchStats, MemEvent, TraceHasher, TraceObserver,
+};
 use gwc::simt::SimtError;
 use gwc::workloads::{registry, Scale};
 
@@ -44,6 +53,58 @@ const SEED: u64 = 7;
 /// 41 distinct kernels across 115 launches; this floor catches an
 /// accidental shrink without forbidding growth.
 const MIN_REGISTRY_KERNELS: usize = 41;
+
+/// Reference for the engines' counters: re-derives every
+/// [`LaunchStats`] field from the event stream, one event at a time,
+/// while forwarding every event to a [`TraceHasher`].
+#[derive(Default)]
+struct EventFold {
+    hasher: TraceHasher,
+    stats: LaunchStats,
+}
+
+impl TraceObserver for EventFold {
+    fn on_launch(&mut self, kernel: &Kernel, config: &LaunchConfig) {
+        self.stats.blocks += config.blocks() as u64;
+        self.stats.warps += (config.blocks() * config.warps_per_block()) as u64;
+        self.hasher.on_launch(kernel, config);
+    }
+
+    fn on_instr(&mut self, e: &InstrEvent<'_>) {
+        let s = &mut self.stats;
+        let lanes = e.active_lanes() as u64;
+        let slot = InstrClass::ALL.iter().position(|&c| c == e.class);
+        s.warp_instrs += 1;
+        s.thread_instrs += lanes;
+        s.lanes_by_class[slot.expect("class in ALL")] += lanes;
+        s.active_by_live[e.live.count_ones().max(1) as usize] += lanes;
+        if e.active != e.live {
+            s.diverged_warp_instrs += 1;
+        }
+        self.hasher.on_instr(e);
+    }
+
+    fn on_mem(&mut self, e: &MemEvent<'_>) {
+        self.hasher.on_mem(e);
+    }
+
+    fn on_branch(&mut self, e: &BranchEvent) {
+        self.stats.branches += 1;
+        if e.divergent() {
+            self.stats.divergent_branches += 1;
+        }
+        self.hasher.on_branch(e);
+    }
+
+    fn on_barrier(&mut self, block: u32) {
+        self.stats.barriers += 1;
+        self.hasher.on_barrier(block);
+    }
+
+    fn on_launch_end(&mut self, stats: &LaunchStats) {
+        self.hasher.on_launch_end(stats);
+    }
+}
 
 fn diff_kernel_count() -> u64 {
     std::env::var("GWC_DIFF_KERNELS")
@@ -159,8 +220,10 @@ fn registry_profiles_bit_identical_across_backends_and_threads() {
 
 /// Retired-µop accounting must be backend-invariant: with execution
 /// profiling forced on (no recorder needed), both engines must report
-/// identical per-µop-class and per-pc warp/lane counts for every
-/// registry launch: each engine accounts every retired µop at its own pc.
+/// identical per-pc warp/lane counts for every registry launch (each
+/// engine accounts every retired µop at its own pc), the per-pc counts
+/// must sum to the launch stats in total and per class, and the stats
+/// must equal the [`EventFold`] reference.
 #[test]
 fn exec_profiles_identical_across_backends() {
     let mut scalar_wl = registry::all_workloads(SEED);
@@ -175,11 +238,13 @@ fn exec_profiles_identical_across_backends() {
         let specs_p = wp.setup(&mut dp, Scale::Tiny).expect("simd setup");
 
         for (ls, lp) in specs_s.iter().zip(specs_p.iter()) {
+            let mut fs = EventFold::default();
+            let mut fp = EventFold::default();
             let ss = ds
-                .launch(&ls.kernel, &ls.config, &ls.args)
+                .launch_observed(&ls.kernel, &ls.config, &ls.args, &mut fs)
                 .expect("scalar launch");
             let sp = dp
-                .launch(&lp.kernel, &lp.config, &lp.args)
+                .launch_observed(&lp.kernel, &lp.config, &lp.args, &mut fp)
                 .expect("simd launch");
             let es = ds.take_exec_profile().expect("scalar profile collected");
             let ep = dp.take_exec_profile().expect("simd profile collected");
@@ -187,15 +252,25 @@ fn exec_profiles_identical_across_backends() {
             // The profile shadows the launch statistics exactly: both
             // engines account one µop per retired µop.
             assert_eq!(ss, sp, "{name}/{}: launch stats", ls.label);
-            let total = es.total();
+            assert_eq!(fs.stats, ss, "{name}/{}: scalar counters", ls.label);
+            assert_eq!(fp.stats, sp, "{name}/{}: simd counters", ls.label);
+            let dec = ls.kernel.decoded();
+            let mut warp_uops = 0;
+            let mut lanes_by_class = [0u64; InstrClass::ALL.len()];
+            for (pc, c) in es.pcs().iter().enumerate() {
+                warp_uops += c.warp_uops;
+                lanes_by_class[dec.class(pc) as usize] += c.lane_uops;
+            }
+            assert_eq!(warp_uops, ss.warp_instrs, "{name}/{}: warp µops", ls.label);
             assert_eq!(
-                total.warp_uops, ss.warp_instrs,
-                "{name}/{}: warp µops",
+                lanes_by_class.iter().sum::<u64>(),
+                ss.thread_instrs,
+                "{name}/{}: lane µops",
                 ls.label
             );
             assert_eq!(
-                total.lane_uops, ss.thread_instrs,
-                "{name}/{}: lane µops",
+                lanes_by_class, ss.lanes_by_class,
+                "{name}/{}: lane µops per class",
                 ls.label
             );
         }
@@ -203,7 +278,8 @@ fn exec_profiles_identical_across_backends() {
 }
 
 /// Runs one generated kernel through both backends and asserts trace,
-/// stats and memory equivalence (or that both fail identically).
+/// stats (against each other and the [`EventFold`] reference) and
+/// memory equivalence (or that both fail identically).
 fn diff_generated(seed: u64) {
     let gk = kgen::generate_seeded(seed).expect("kernel generation");
     let mut ds = Device::with_backend(BackendKind::Scalar);
@@ -211,13 +287,18 @@ fn diff_generated(seed: u64) {
     let args_s = gk.alloc_args(&mut ds);
     let args_p = gk.alloc_args(&mut dp);
 
-    let mut hs = TraceHasher::new();
-    let mut hp = TraceHasher::new();
-    let rs = ds.launch_observed(&gk.kernel, &gk.config, &args_s.args, &mut hs);
-    let rp = dp.launch_observed(&gk.kernel, &gk.config, &args_p.args, &mut hp);
+    let mut fs = EventFold::default();
+    let mut fp = EventFold::default();
+    let rs = ds.launch_observed(&gk.kernel, &gk.config, &args_s.args, &mut fs);
+    let rp = dp.launch_observed(&gk.kernel, &gk.config, &args_p.args, &mut fp);
+    let (hs, hp) = (&fs.hasher, &fp.hasher);
 
     match (&rs, &rp) {
-        (Ok(ss), Ok(sp)) => assert_eq!(ss, sp, "seed {seed}: launch stats"),
+        (Ok(ss), Ok(sp)) => {
+            assert_eq!(ss, sp, "seed {seed}: launch stats");
+            assert_eq!(&fs.stats, ss, "seed {seed}: scalar counters");
+            assert_eq!(&fp.stats, sp, "seed {seed}: simd counters");
+        }
         (Err(es), Err(ep)) => {
             assert_eq!(format!("{es:?}"), format!("{ep:?}"), "seed {seed}: errors")
         }
@@ -287,7 +368,6 @@ fn generated_kernel_profiles_match_across_backends() {
 fn faulting_kernels_fail_identically_across_backends() {
     use gwc::simt::builder::KernelBuilder;
     use gwc::simt::instr::Value;
-    use gwc::simt::launch::LaunchConfig;
 
     // Out-of-bounds store at a thread-dependent pc.
     let mut b = KernelBuilder::new("oob_store");
