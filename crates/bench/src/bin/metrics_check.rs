@@ -8,7 +8,9 @@
 //! Parses the file with the `gwc-obs` JSON parser, checks the schema
 //! version and required keys, and round-trips it (parse -> render ->
 //! parse -> compare) to prove the writer and parser agree. Only the
-//! current schema version (v4) validates. `--counter NAME=VALUE`
+//! current schema version (v5) validates, and its span tree must nest:
+//! the children of every recorded span fit in `threads` times its own
+//! wall (at one thread, in exactly its wall). `--counter NAME=VALUE`
 //! (repeatable) additionally asserts a counter's exact value — a
 //! counter absent from the report counts as 0, so `--counter
 //! cache.misses=0` holds for a fully warm run that never incremented

@@ -3,8 +3,8 @@
 //!
 //! A *bench report* (`BENCH_<label>.json`) records the wall-time
 //! distribution of repeated pipeline runs — per pipeline stage
-//! (`study`/`reduce`/`cluster`, rollups including descendant spans),
-//! per experiment, and in total — as min/median/p95 over the measured
+//! (`study`/`matrix`/`reduce`/`cluster`, each the wall of its own
+//! span), per experiment, and in total — as min/median/p95 over the measured
 //! iterations, plus the run configuration (threads, warmup, iteration
 //! count, experiment ids). Reports from two commits are compared by
 //! [`diff_reports`]: a row regresses when its **median** grew beyond a
@@ -16,14 +16,14 @@
 //!
 //! Timing comes from the metrics recorder's own span aggregates — one
 //! iteration installs a fresh [`MetricsRecorder`], runs the study and
-//! renders the requested experiments, and reads the stage rollups back
+//! renders the requested experiments, and reads the stage walls back
 //! from the snapshot — so `regen --bench` measures exactly what
 //! `regen --metrics` reports, recorder overhead included.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use gwc_core::pipeline::PipelineConfig;
+use gwc_core::pipeline::{PipelineConfig, StageId};
 use gwc_obs::json::Json;
 use gwc_obs::metrics::MetricsRecorder;
 use gwc_obs::{Recorder, TeeRecorder};
@@ -39,16 +39,13 @@ pub const BENCH_SCHEMA_VERSION: u64 = 2;
 /// Bench schema versions [`validate_bench`] accepts.
 pub const BENCH_SUPPORTED_VERSIONS: [u64; 1] = [2];
 
-/// The pipeline stages a bench report always carries.
-pub const STAGES: [&str; 3] = ["study", "reduce", "cluster"];
-
 /// One measured iteration: total wall time plus per-stage,
 /// per-experiment, and per-kernel rollups.
 #[derive(Debug, Clone)]
 pub struct BenchSample {
     /// Wall time of the whole iteration (study + fit + render).
     pub total_ns: u64,
-    /// `(stage, rollup_ns)` for each of [`STAGES`].
+    /// `(stage, wall_ns)` for each stage of [`StageId::ALL`].
     pub stages: Vec<(String, u64)>,
     /// `(experiment id, wall_ns)` for each rendered experiment.
     pub experiments: Vec<(String, u64)>,
@@ -107,9 +104,12 @@ pub fn measure_iteration_config(
     let snap = rec.snapshot();
     let sample = BenchSample {
         total_ns,
-        stages: STAGES
+        stages: StageId::ALL
             .iter()
-            .map(|&s| (s.to_string(), snap.rollup_ns(s)))
+            .map(|stage| {
+                let wall = snap.spans.iter().find(|s| s.path == stage.name());
+                (stage.name().to_string(), wall.map_or(0, |s| s.total_ns))
+            })
             .collect(),
         experiments: snap
             .spans

@@ -4,13 +4,14 @@
 //! zero misses), and corrupt cache entries must be recomputed silently
 //! without perturbing the output.
 //!
-//! Everything lives in one `#[test]` because the steps share a cache
+//! The sequential steps live in one `#[test]` because they share a cache
 //! directory and are ordered: cold populates, warm consumes, corruption
-//! forces a partial recompute.
+//! forces a partial recompute. A second test starts two cold writers on
+//! one directory at once.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use gwc_obs::json::{self, Json};
 
@@ -145,6 +146,57 @@ fn warm_reruns_are_byte_identical_and_simulation_free() {
     );
     // The two recomputed entries were stored back in repaired form.
     assert!(counter_value(&repair_metrics, "cache.bytes_written") > 0);
+
+    let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
+fn concurrent_cold_writers_agree_and_leave_a_complete_cache() {
+    let base = std::env::temp_dir().join(format!("gwc-cache-race-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    fs::create_dir_all(&base).expect("create temp dir");
+    let cache = base.join("cache");
+
+    // Both writers start cold on the same directory before either ends,
+    // so their stores of every entry race.
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_regen"))
+            .args(["e3", "--threads", "1", "--cache"])
+            .arg(&cache)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn regen")
+    };
+    let (a, b) = (spawn(), spawn());
+    let a = a.wait_with_output().expect("first writer runs");
+    let b = b.wait_with_output().expect("second writer runs");
+    for out in [&a, &b] {
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert!(!a.stdout.is_empty());
+    assert_eq!(a.stdout, b.stdout, "concurrent writers disagree");
+
+    // Whatever interleaving won, the cache now serves every entry.
+    let metrics = base.join("third.json");
+    let third = Command::new(env!("CARGO_BIN_EXE_regen"))
+        .args(["e3", "--threads", "1", "--cache"])
+        .arg(&cache)
+        .arg("--metrics")
+        .arg(&metrics)
+        .output()
+        .expect("spawn regen");
+    assert_eq!(third.status.code(), Some(0));
+    assert_eq!(third.stdout, a.stdout, "warm run diverged from the writers");
+    assert_eq!(counter_value(&metrics, "cache.misses"), 0);
+    assert_eq!(counter_value(&metrics, "cache.hits"), REGISTRY_SIZE);
+    assert_eq!(counter_value(&metrics, "matrix.cache.misses"), 0);
+    assert_eq!(counter_value(&metrics, "matrix.cache.hits"), MATRIX_BLOCKS);
 
     let _ = fs::remove_dir_all(&base);
 }

@@ -180,7 +180,8 @@ fn invalid_backend_exits_2_without_starting_work() {
 
 #[test]
 fn bench_diff_flags_cross_backend_comparisons() {
-    use gwc_bench::perf::{build_bench_report, BenchContext, STAGES};
+    use gwc_bench::perf::{build_bench_report, BenchContext};
+    use gwc_core::pipeline::StageId;
 
     let dir = std::env::temp_dir().join(format!("gwc_bench_diff_backend_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -198,7 +199,10 @@ fn bench_diff_flags_cross_backend_comparisons() {
         };
         let sample = gwc_bench::perf::BenchSample {
             total_ns: 5_000_000,
-            stages: STAGES.iter().map(|&s| (s.to_string(), 1_000_000)).collect(),
+            stages: StageId::ALL
+                .iter()
+                .map(|s| (s.name().to_string(), 1_000_000))
+                .collect(),
             experiments: vec![("e1".into(), 1_000_000)],
             kernels: Vec::new(),
         };
@@ -239,7 +243,8 @@ fn bench_diff_flags_cross_backend_comparisons() {
 
 #[test]
 fn bench_diff_attribute_names_the_offending_kernel_and_uop_class() {
-    use gwc_bench::perf::{build_bench_report, BenchContext, BenchSample, KernelRollup, STAGES};
+    use gwc_bench::perf::{build_bench_report, BenchContext, BenchSample, KernelRollup};
+    use gwc_core::pipeline::StageId;
 
     let dir = std::env::temp_dir().join(format!("gwc_bench_diff_attr_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -271,7 +276,10 @@ fn bench_diff_attribute_names_the_offending_kernel_and_uop_class() {
         ];
         let sample = BenchSample {
             total_ns: 20_000_000 + if histogram_slow { 6_000_000 } else { 0 },
-            stages: STAGES.iter().map(|&s| (s.to_string(), 2_000_000)).collect(),
+            stages: StageId::ALL
+                .iter()
+                .map(|s| (s.name().to_string(), 2_000_000))
+                .collect(),
             experiments: vec![("e1".into(), 2_000_000)],
             kernels,
         };

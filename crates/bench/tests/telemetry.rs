@@ -131,8 +131,8 @@ fn injected_stall_trips_the_watchdog_and_names_the_open_span() {
     let open = stall.get("open_spans").unwrap().as_arr().unwrap();
     assert!(
         open.iter()
-            .any(|p| p.as_str().is_some_and(|p| p.starts_with("study"))),
-        "stall does not name the stalled study span: {stall_line}"
+            .any(|p| p.as_str().is_some_and(|p| p.starts_with("study/workload/"))),
+        "stall does not name the stalled workload span: {stall_line}"
     );
     // The sleep freezes progress for 800ms; the watchdog must report a
     // stall within 3 sample intervals of arming, i.e. well under that.

@@ -71,6 +71,7 @@ fn trace_export_is_valid_chrome_trace_json() {
         .collect();
     for want in [
         "study",
+        "matrix",
         "reduce",
         "cluster",
         "experiment/e1",
@@ -78,10 +79,16 @@ fn trace_export_is_valid_chrome_trace_json() {
     ] {
         assert!(names.contains(&want), "missing span `{want}`");
     }
-    assert!(
-        names.iter().any(|n| n.starts_with("launch/")),
-        "kernel launch spans captured"
-    );
+    // Kernel launches nest under the workload that issued them, also on
+    // the pool workers that ran those workloads.
+    let launches: Vec<&&str> = names.iter().filter(|n| n.contains("launch/")).collect();
+    assert!(!launches.is_empty(), "kernel launch spans captured");
+    for n in launches {
+        assert!(
+            n.starts_with("study/workload/"),
+            "launch span `{n}` is not under its workload"
+        );
+    }
 
     // Every span has the complete-event shape with sane timestamps.
     for e in &spans {

@@ -97,9 +97,7 @@ pub fn profile_launch_sharded(
             .map(|i| {
                 let first = (blocks * i / shards) as u32;
                 let last = (blocks * (i + 1) / shards) as u32;
-                scope.spawn(move || {
-                    // Worker threads have no inherited span stack, so
-                    // the observe span carries an explicit path.
+                gwc_obs::span::spawn_scoped(scope, move || {
                     let t0 = gwc_obs::enabled().then(std::time::Instant::now);
                     let _observe = gwc_obs::span!("shard/observe");
                     let mut shard_dev = dev.fork();

@@ -78,7 +78,7 @@ impl PairStudy {
         let records = PAIR_SCENARIOS
             .iter()
             .map(|&scenario| {
-                let _span = gwc_obs::span!("study/pairs/{}", scenario.name);
+                let _span = gwc_obs::span!("{}", scenario.name);
                 gwc_obs::count("pair.scenarios", 1);
                 run_scenario(scenario, seed, scale, verify, policy, solo)
             })

@@ -109,7 +109,7 @@ where
         let f = &f;
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                scope.spawn(move || {
+                gwc_obs::span::spawn_scoped(scope, move || {
                     let task_hist = rec.map(|_| format!("pool.task_ns.{pool}"));
                     let wall = Instant::now();
                     let mut busy_ns = 0u64;

@@ -7,11 +7,9 @@
 //! clustering) and the chain's structure existed only by convention. Here
 //! each step is a [`Stage`] with a typed input and output artifact, the
 //! dependencies are data ([`StageId::deps`]), and [`Artifacts::collect`]
-//! is the single driver that walks the DAG in topological order under the
-//! canonical observability spans (`study`, `reduce/matrix`, `reduce`,
-//! `cluster` — the matrix stage deliberately records *under* `reduce` so
-//! the top-level stage set, and therefore every metrics report and perf
-//! baseline, is unchanged).
+//! is the single driver that walks the DAG in topological order, each
+//! stage under a top-level observability span named by
+//! [`StageId::name`] (`study`, `matrix`, `reduce`, `cluster`).
 //!
 //! The study stage is cache-aware: give [`PipelineConfig::cache_dir`] a
 //! directory and workloads whose fingerprints hit the persistent profile
@@ -62,22 +60,6 @@ impl StageId {
             StageId::Study => "study",
             StageId::Pairs => "pairs",
             StageId::Matrix => "matrix",
-            StageId::Reduce => "reduce",
-            StageId::Cluster => "cluster",
-        }
-    }
-
-    /// The observability span path the driver opens around the stage.
-    ///
-    /// `Matrix` records under `reduce/` so the set of *top-level* stages
-    /// in a metrics report stays `{study, reduce, cluster}`, exactly as
-    /// before the matrix assembly became its own stage; `rollup_ns`
-    /// still attributes its time to `reduce`.
-    pub fn span_path(self) -> &'static str {
-        match self {
-            StageId::Study => "study",
-            StageId::Pairs => "study/pairs",
-            StageId::Matrix => "reduce/matrix",
             StageId::Reduce => "reduce",
             StageId::Cluster => "cluster",
         }
@@ -278,7 +260,7 @@ impl Stage for PairsStage {
     type Output = PairArtifact;
 
     fn run(cfg: &PipelineConfig, input: &StudyArtifact) -> PairArtifact {
-        let _span = gwc_obs::span!("{}", StageId::Pairs.span_path());
+        let _span = gwc_obs::span!("{}", StageId::Pairs.name());
         PairArtifact {
             pairs: crate::pairs::run_from_artifact(cfg, input),
         }
@@ -420,25 +402,25 @@ impl Artifacts {
         use gwc_obs::progress::{self, STAGES};
         progress::declare(&STAGES, StageId::ALL.len() as u64);
         let study = {
-            let _span = gwc_obs::span!("{}", StageId::Study.span_path());
+            let _span = gwc_obs::span!("{}", StageId::Study.name());
             progress::set_stage(StageId::Study.name());
             StudyStage::run(cfg, ())
         };
         progress::tick(&STAGES, 1);
         let matrix = {
-            let _span = gwc_obs::span!("{}", StageId::Matrix.span_path());
+            let _span = gwc_obs::span!("{}", StageId::Matrix.name());
             progress::set_stage(StageId::Matrix.name());
             MatrixStage::run(cfg, &study)
         };
         progress::tick(&STAGES, 1);
         let reduced = {
-            let _span = gwc_obs::span!("{}", StageId::Reduce.span_path());
+            let _span = gwc_obs::span!("{}", StageId::Reduce.name());
             progress::set_stage(StageId::Reduce.name());
             ReduceStage::run(cfg, &matrix)
         };
         progress::tick(&STAGES, 1);
         let clustering = {
-            let _span = gwc_obs::span!("{}", StageId::Cluster.span_path());
+            let _span = gwc_obs::span!("{}", StageId::Cluster.name());
             progress::set_stage(StageId::Cluster.name());
             ClusterStage::run(cfg, &reduced)
         };
@@ -513,18 +495,16 @@ mod tests {
         assert_eq!(StageId::Pairs.deps(), &[StageId::Study]);
         assert_eq!(StageId::Pairs.output(), ArtifactKind::Pairs);
         assert_eq!(StageId::Pairs.name(), "pairs");
-        assert_eq!(StageId::Pairs.span_path(), "study/pairs");
         assert_eq!(ArtifactKind::Pairs.name(), "pairs");
     }
 
+    /// Each stage span is the stage's own name, so every eager stage is
+    /// a top-level node of the span tree.
     #[test]
-    fn span_paths_keep_top_level_stage_set() {
-        let top: Vec<&str> = StageId::ALL
-            .iter()
-            .map(|s| s.span_path())
-            .filter(|p| !p.contains('/'))
-            .collect();
-        assert_eq!(top, ["study", "reduce", "cluster"]);
+    fn stage_spans_are_single_segments() {
+        let names: Vec<&str> = StageId::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names, ["study", "matrix", "reduce", "cluster"]);
+        assert!(!StageId::Pairs.name().contains('/'));
     }
 
     #[test]

@@ -42,10 +42,10 @@
 //! assert_eq!(snap.counters[0], ("kernels.profiled".to_string(), 3));
 //! ```
 //!
-//! Spans nest per thread: a span opened while another is active on the
-//! same thread records under the parent's path (`"study/observe"`).
-//! Cross-thread nesting is expressed with explicit `/`-separated paths
-//! at the call site (worker threads start with an empty span stack).
+//! Spans nest through the thread's span stack: a span opened while
+//! another is active records under the parent's path (`"study/observe"`).
+//! Workers spawned with [`span::spawn_scoped`] start on their spawner's
+//! stack, so work fanned out across threads nests the same way.
 
 pub mod hist;
 pub mod json;
@@ -121,8 +121,9 @@ pub fn exec_profile(kernel: &str, classes: &[ExecClass], hotspots: &[ExecHotspot
 /// Opens a timed span; the span ends (and records) when the returned
 /// guard drops. The name is a `format!` spec evaluated **only when a
 /// recorder is installed**, so dynamic names are free on the disabled
-/// path. Use `/` in the name to place the span under an explicit parent
-/// (worker threads have no inherited span stack).
+/// path. The span's parent is whatever span is open on the thread's
+/// span stack; the name names only the span itself (a `kind/id` name
+/// such as `launch/bfs_step` is one span, not a parent path).
 #[macro_export]
 macro_rules! span {
     ($($arg:tt)*) => {

@@ -154,25 +154,14 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Top-level spans (no `/` in the path): the stage table.
+    /// Top-level spans (no `/` in the path): the stage table. A stage's
+    /// time is its own wall (`total_ns`); everything nested under it is
+    /// already inside that wall.
     pub fn stages(&self) -> Vec<&SpanStat> {
         self.spans
             .iter()
             .filter(|s| !s.path.contains('/'))
             .collect()
-    }
-
-    /// Total recorded time under `path`: the span's own aggregate plus
-    /// every descendant (`path/...`). Nested spans thereby aggregate to
-    /// their parent even when children were recorded from worker
-    /// threads under explicit `parent/child` paths.
-    pub fn rollup_ns(&self, path: &str) -> u64 {
-        let prefix = format!("{path}/");
-        self.spans
-            .iter()
-            .filter(|s| s.path == path || s.path.starts_with(&prefix))
-            .map(|s| s.total_ns)
-            .sum()
     }
 
     /// Spans sorted by total time, descending (ties broken by path so
@@ -404,16 +393,9 @@ mod tests {
         assert_eq!(snap.spans[0].path, "a");
         assert_eq!(snap.spans[0].count, 2);
         assert_eq!(snap.spans[0].total_ns, 15);
-        assert_eq!(snap.rollup_ns("a"), 18, "child folds into parent rollup");
-        assert_eq!(snap.stages().len(), 1, "only `a` is top-level");
-    }
-
-    #[test]
-    fn rollup_does_not_match_sibling_prefixes() {
-        let rec = MetricsRecorder::default();
-        rec.record_span("eval", 10);
-        rec.record_span("evaluate", 100);
-        assert_eq!(rec.snapshot().rollup_ns("eval"), 10);
+        let stages = snap.stages();
+        assert_eq!(stages.len(), 1, "only `a` is top-level");
+        assert_eq!(stages[0].total_ns, 15, "a stage is its own wall");
     }
 
     #[test]

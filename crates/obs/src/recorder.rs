@@ -84,7 +84,7 @@ pub trait Recorder: Send + Sync {
 
     /// The stall watchdog fired: no progress domain ticked for
     /// `stalled_ms`, and `open_spans` names the innermost open span path
-    /// per stuck thread (see [`crate::span::open_span_paths`]). The
+    /// per stuck thread (see [`crate::span::open_spans`]). The
     /// aggregating recorder counts these under `telemetry.stalls`.
     fn record_stall(&self, open_spans: &[String], stalled_ms: u64) {
         let _ = (open_spans, stalled_ms);

@@ -13,7 +13,8 @@ use crate::json::{parse, Json};
 use crate::metrics::MetricsSnapshot;
 
 /// Version stamped into every freshly built report. Beside the run's
-/// stages, workloads, kernels, pools and counters, it carries latency
+/// stages (each the wall of its own top-level span), workloads,
+/// kernels, pools and counters, it carries latency
 /// `histograms` (p50/p90/p99/max), the execution-cost attribution
 /// sections — `self_time` (the folded span tree, see
 /// [`crate::selftime`]) and `exec_profiles` (per-kernel µop-class
@@ -21,10 +22,10 @@ use crate::metrics::MetricsSnapshot;
 /// (wall-clock timestamp, threads, backend, cache mode, label) and the
 /// live-telemetry `timeseries` section (the sampler's ring, see
 /// [`crate::sampler`] — an empty object when no sampler ran).
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Schema versions [`validate`] accepts.
-pub const SUPPORTED_VERSIONS: [u64; 1] = [4];
+pub const SUPPORTED_VERSIONS: [u64; 1] = [5];
 
 /// Required top-level keys of the current schema, in emission order.
 pub const REQUIRED_KEYS: [&str; 17] = [
@@ -47,7 +48,7 @@ pub const REQUIRED_KEYS: [&str; 17] = [
     "timeseries",
 ];
 
-/// Run provenance stamped into the v4 `meta` header: when and how the
+/// Run provenance stamped into the `meta` header: when and how the
 /// report was produced. The snapshot itself records none of this.
 #[derive(Debug, Clone, Default)]
 pub struct RunMeta {
@@ -85,7 +86,6 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
                 ("name".into(), Json::Str(s.path.clone())),
                 ("count".into(), Json::UInt(s.count)),
                 ("wall_ns".into(), Json::UInt(s.total_ns)),
-                ("rollup_ns".into(), Json::UInt(snap.rollup_ns(&s.path))),
             ])
         })
         .collect();
@@ -346,7 +346,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     doc.get("experiment_ids")
         .and_then(Json::as_arr)
         .ok_or("`experiment_ids` is not an array")?;
-    require_records(doc, "stages", &["name", "count", "wall_ns", "rollup_ns"])?;
+    require_records(doc, "stages", &["name", "count", "wall_ns"])?;
     require_records(doc, "experiments", &["id", "wall_ns"])?;
     require_records(doc, "workloads", &["name", "kernels", "wall_ns"])?;
     require_records(
@@ -403,6 +403,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             "exclusive_ns",
         ],
     )?;
+    check_nesting(doc)?;
     require_records(doc, "exec_profiles", &["kernel", "classes", "hotspots"])?;
     for (i, prof) in doc
         .get("exec_profiles")
@@ -486,6 +487,41 @@ pub fn validate(doc: &Json) -> Result<(), String> {
                     format!("`timeseries.stall_events[{i}]` is missing `{field}`")
                 })?;
             }
+        }
+    }
+    Ok(())
+}
+
+/// Checks that the `self_time` tree nests: the children of a recorded
+/// span (`count > 0`) ran inside its wall on at most `threads` threads,
+/// so their inclusive sum is at most `threads` × its `total_ns`. At one
+/// thread that makes every recorded node's inclusive time its own wall.
+fn check_nesting(doc: &Json) -> Result<(), String> {
+    let threads = doc
+        .get("threads")
+        .and_then(Json::as_u64)
+        .unwrap_or(1)
+        .max(1);
+    let field = |node: &Json, key: &str| node.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let nodes = doc.get("self_time").and_then(Json::as_arr).unwrap_or(&[]);
+    for (i, node) in nodes.iter().enumerate() {
+        if field(node, "count") == 0 {
+            continue;
+        }
+        let depth = field(node, "depth");
+        let children: u64 = nodes[i + 1..]
+            .iter()
+            .take_while(|n| field(n, "depth") > depth)
+            .filter(|n| field(n, "depth") == depth + 1)
+            .map(|n| field(n, "inclusive_ns"))
+            .sum();
+        let wall = field(node, "total_ns");
+        if children > threads.saturating_mul(wall) {
+            let path = node.get("path").and_then(Json::as_str).unwrap_or("?");
+            return Err(format!(
+                "`self_time` node `{path}`: its children hold {children} ns, more than \
+                 {threads} thread(s) x its {wall} ns wall"
+            ));
         }
     }
     Ok(())
@@ -635,7 +671,7 @@ mod tests {
     #[test]
     fn report_contains_the_recorded_facts() {
         let doc = build_report(&sample_snapshot(), &sample_ctx());
-        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(4));
+        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(5));
         assert_eq!(doc.get("threads").unwrap().as_u64(), Some(4));
         let meta = doc.get("meta").unwrap();
         assert_eq!(
@@ -656,7 +692,15 @@ mod tests {
         let study = &stages[0];
         assert_eq!(study.get("name").unwrap().as_str(), Some("study"));
         assert_eq!(study.get("wall_ns").unwrap().as_u64(), Some(100));
-        assert_eq!(study.get("rollup_ns").unwrap().as_u64(), Some(160));
+        let Json::Obj(fields) = study else {
+            unreachable!()
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            ["name", "count", "wall_ns"],
+            "a stage is its own wall"
+        );
         let exps = doc.get("experiments").unwrap().as_arr().unwrap();
         assert_eq!(exps[0].get("id").unwrap().as_str(), Some("e1"));
         let fb = &doc.get("fallbacks").unwrap().as_arr().unwrap()[0];
@@ -719,7 +763,7 @@ mod tests {
             }],
         });
         let doc = build_report(&sample_snapshot(), &ctx);
-        let back = validate_str(&doc.render()).expect("valid v4 report with timeseries");
+        let back = validate_str(&doc.render()).expect("valid report with timeseries");
         assert_eq!(back, doc);
         let ts = doc.get("timeseries").unwrap();
         assert_eq!(ts.get("stalls").unwrap().as_u64(), Some(1));
@@ -757,7 +801,7 @@ mod tests {
 
         // Retired versions are rejected like unknown ones, even when the
         // document carries every current section.
-        for version in [3, 99] {
+        for version in [4, 99] {
             let Json::Obj(mut fields) = doc.clone() else {
                 unreachable!()
             };
@@ -769,6 +813,23 @@ mod tests {
             let err = validate(&Json::Obj(fields)).unwrap_err();
             assert!(err.contains(&format!("schema_version {version}")), "{err}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_children_outgrowing_their_parent() {
+        let rec = MetricsRecorder::default();
+        rec.record_span("study", 100);
+        rec.record_span("study/workload/a", 60);
+        rec.record_span("study/workload/b", 50);
+        let snap = rec.snapshot();
+        let mut ctx = sample_ctx();
+        // 110 ns of children fit two threads' worth of a 100 ns wall...
+        ctx.threads = 2;
+        validate(&build_report(&snap, &ctx)).expect("nests at 2 threads");
+        // ...but not one thread's.
+        ctx.threads = 1;
+        let err = validate(&build_report(&snap, &ctx)).unwrap_err();
+        assert!(err.contains("`study`"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! [`SamplerConfig::stall_after`] consecutive ticks with zero progress
 //! (no domain ticked, same epoch) fire a stall event naming the
-//! currently-open span paths (see [`crate::span::open_span_paths`]) to
+//! currently-open span paths (see [`crate::span::open_spans`]) to
 //! stderr and the heartbeat stream, bump the `telemetry.stalls`
 //! counter through [`crate::recorder::Recorder::record_stall`], and
 //! append to [`TimeSeries::stall_events`]. The watchdog re-arms once
@@ -419,7 +419,7 @@ fn emit_tick(
             seq: *seq,
             t_ms,
             stalled_ms: t_ms.saturating_sub(pacer.last_progress_t_ms),
-            open_spans: crate::span::open_span_paths(),
+            open_spans: crate::span::open_spans(),
         };
         *seq += 1;
         series.stalls += 1;

@@ -2,9 +2,11 @@
 //!
 //! A [`SpanGuard`] measures the wall time between its creation and its
 //! drop on a monotonic clock ([`std::time::Instant`]) and reports the
-//! duration to the installed recorder under a `/`-separated path. Spans
-//! opened while another span is active *on the same thread* nest under
-//! it: the reported path is the thread's span stack joined with `/`.
+//! duration to the installed recorder under a `/`-separated path. The
+//! thread's span stack is the only source of a span's parent: the
+//! reported path is that stack joined with `/`. A scoped worker spawned
+//! through [`spawn_scoped`] starts on a copy of its spawner's stack, so
+//! its spans nest under the span that fanned the work out.
 //!
 //! Construct spans with the [`crate::span!`] macro — it performs the
 //! enabled check before evaluating the name, which keeps dynamic names
@@ -14,6 +16,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 thread_local! {
@@ -46,7 +49,7 @@ pub(crate) fn set_open_tracking(enabled: bool) {
 /// ordered by thread ordinal. Empty unless a sampler is running (the
 /// mirror is only maintained then) — this is the stall watchdog's
 /// "what is the run doing right now" answer.
-pub fn open_span_paths() -> Vec<String> {
+pub fn open_spans() -> Vec<String> {
     let open = OPEN.lock().unwrap_or_else(|p| p.into_inner());
     open.values()
         .filter_map(|stack| stack.last().cloned())
@@ -59,6 +62,32 @@ pub fn open_span_paths() -> Vec<String> {
 /// [`std::thread::ThreadId`], whose integer form is unstable.
 pub fn thread_ord() -> u64 {
     THREAD_ORD.with(|t| *t)
+}
+
+/// Spawns `f` on `scope` as a worker whose spans nest under the calling
+/// thread's open spans: the worker starts on a copy of this thread's
+/// span stack. With no recorder installed nothing is copied, so the
+/// disabled path adds no allocation to the spawn.
+pub fn spawn_scoped<'scope, 'env, T, F>(
+    scope: &'scope Scope<'scope, 'env>,
+    f: F,
+) -> ScopedJoinHandle<'scope, T>
+where
+    F: FnOnce() -> T + Send + 'scope,
+    T: Send + 'scope,
+{
+    let parent = if crate::enabled() {
+        STACK.with(|s| s.borrow().clone())
+    } else {
+        Vec::new()
+    };
+    scope.spawn(move || {
+        if !parent.is_empty() {
+            // A fresh thread's stack is empty; the copy dies with it.
+            STACK.with(|s| *s.borrow_mut() = parent);
+        }
+        f()
+    })
 }
 
 /// An open span; ends (and records) on drop. See [`crate::span!`].
@@ -144,6 +173,31 @@ mod tests {
     }
 
     #[test]
+    fn scoped_workers_nest_under_the_spawning_stack() {
+        let rec = Arc::new(MetricsRecorder::default());
+        let guard = crate::install(rec.clone());
+        {
+            let _outer = crate::span!("outer");
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..2)
+                    .map(|i| {
+                        super::spawn_scoped(scope, move || {
+                            let _w = crate::span!("worker/{i}");
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().unwrap();
+                }
+            });
+        }
+        drop(guard);
+        let snap = rec.snapshot();
+        let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["outer", "outer/worker/0", "outer/worker/1"]);
+    }
+
+    #[test]
     fn open_span_mirror_tracks_innermost_paths() {
         let rec = Arc::new(MetricsRecorder::default());
         let _guard = crate::install(rec);
@@ -151,10 +205,10 @@ mod tests {
         {
             let _outer = crate::span!("outer");
             let _inner = crate::span!("inner");
-            assert_eq!(super::open_span_paths(), ["outer/inner"]);
+            assert_eq!(super::open_spans(), ["outer/inner"]);
         }
         assert!(
-            super::open_span_paths().is_empty(),
+            super::open_spans().is_empty(),
             "closed spans leave the mirror"
         );
         super::set_open_tracking(false);
